@@ -5,13 +5,15 @@ the machine interface, CSV the plot-data interface; nothing is rendered.
 
 Exit codes: 0 success, 2 input/parse problems, 3 numeric/fitting
 failures, 4 internal errors.  Every command is deterministic given its
-flags and input files (plus the seed where an RNG is involved).
+flags and input files (plus the seed where an RNG is involved).  Only
+``simulate`` runs on several threads (``--threads``, default from
+``FORKCAST_THREADS``); ``pipeline`` evaluates its periods in order on
+the calling thread.
 """
 
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import hashlib
 import json
 import math
@@ -316,7 +318,7 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _period_entry(record, stales, families: list[str]) -> dict:
+def _period_entry(record, families: list[str]) -> dict:
     counts = record.counts
     lam = record.lambda_total
     mp = fit_moments(counts, lam)
@@ -405,21 +407,13 @@ def cmd_pipeline(args) -> int:
             f"no complete period of {args.period_length} blocks in {args.blocks}"
         )
 
-    def one(idx_slice):
-        idx, chunk = idx_slice
+    entries = []
+    for idx, chunk in enumerate(periods):
         try:
             record = build_period_record(chunk, stales, propagation, hashrate, idx)
-            return _period_entry(record, stales, families)
+            entries.append(_period_entry(record, families))
         except ForkcastError as exc:
-            return {"index": idx, "error": str(exc)}
-
-    threads = args.threads or min(8, os.cpu_count() or 1)
-    if threads == 1 or len(periods) == 1:
-        entries = [one(item) for item in enumerate(periods)]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            entries = list(pool.map(one, enumerate(periods)))
-    entries.sort(key=lambda e: e["index"])
+            entries.append({"index": idx, "error": str(exc)})
 
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -534,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="report JSON path (CSV twin beside it)")
     p.add_argument("--families", default="exp,lognormal,tpl,semi")
     p.add_argument("--period-length", type=int, default=PERIOD_LENGTH)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.set_defaults(func=cmd_pipeline)
 
     return parser

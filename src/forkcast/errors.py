@@ -27,6 +27,10 @@ class InvalidModel(ForkcastError, ValueError):
     """A hash-rate model is unusable (e.g. a sampled rate is non-positive)."""
 
 
+class InvalidDelay(ForkcastError, ValueError):
+    """A delay (or fork rate) is NaN, infinite, negative or positive subnormal."""
+
+
 class ShareSumViolation(ForkcastError, ValueError):
     """Shares passed to a concentration measure do not sum to one."""
 

@@ -36,17 +36,18 @@ from .model import (
     MinerSet,
     SemiEmpiricalIID,
     SemiEmpiricalINID,
+    check_delay,
 )
 from .quadrature import (
     DEFAULT_CONFIG,
     Exponential,
     LogNormal,
-    MixtureTransform,
     NullFamily,
     PosteriorTransform,
     QuadratureConfig,
     TruncatedPowerLaw,
     _integrate_semi_infinite,
+    posterior_mixture,
     transform_for,
 )
 
@@ -104,8 +105,7 @@ def conditional_fork_rate(miners: MinerSet, delta0: float) -> ForkRateResult:
     is exact at ``delta0 = 0`` and keeps relative precision for tiny rates.
     """
     _require_competition(miners.n)
-    if delta0 < 0:
-        raise ValueError(f"delta0 must be >= 0, got {delta0}")
+    check_delay(delta0)
     total = miners.total
     terms = [
         (lam / total) * (-math.expm1(-delta0 * (total - lam)))
@@ -128,8 +128,7 @@ def pdf_delta_conditional(miners: MinerSet, delta: float) -> float:
     the fork rate to the propagation delay.
     """
     _require_competition(miners.n)
-    if delta < 0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
+    check_delay(delta, "delta")
     total = miners.total
     terms = [
         lam * (total - lam) * math.exp(-delta * (total - lam)) / total
@@ -142,8 +141,7 @@ def taylor_fork_rate(lambda_total: float, hhi_value: float, delta0: float) -> Fo
     """First-order fork rate ``delta0 * lambda_total * (1 - HHI)``, clamped to [0, 1]."""
     if not (0.0 < hhi_value <= 1.0):
         raise ValueError(f"hhi must lie in (0, 1], got {hhi_value}")
-    if delta0 < 0:
-        raise ValueError(f"delta0 must be >= 0, got {delta0}")
+    check_delay(delta0)
     if not (lambda_total > 0):
         raise ValueError(f"lambda_total must be > 0, got {lambda_total}")
     raw = delta0 * lambda_total * (1.0 - hhi_value)
@@ -165,55 +163,64 @@ def taylor_fork_rate(lambda_total: float, hhi_value: float, delta0: float) -> Fo
 # ---------------------------------------------------------------------------
 
 
-def _finalize(value: float, err: float, cfg: QuadratureConfig) -> tuple[float, float]:
+def _result(raw, err, cfg: QuadratureConfig, method: str, echo: str) -> ForkRateResult:
     """Clamp quadrature noise just outside [0, 1]; reject larger excursions."""
-    slack = 10.0 * cfg.rel_tol
+    value, slack = float(raw), 10.0 * cfg.rel_tol
     if value < -slack or value > 1.0 + slack:
         raise NonConvergent(f"fork rate {value!r} leaves [0, 1] beyond tolerance")
-    return min(max(value, 0.0), 1.0), err
+    return ForkRateResult(min(max(value, 0.0), 1.0), method, float(err), echo)
+
+
+def _log_rows(t, x: np.ndarray, d: float):
+    """``(log W, log L, log-decrement)`` of transform ``t`` at ``x``."""
+    return t.log_laplace_weighted(x), t.log_laplace(x), t.log_laplace_decrement(x, d)
 
 
 def _iid_positive_integral(transform, n: int, delta0: float, cfg: QuadratureConfig):
     """C = n * integral W(x) L(x)^(n-1) (-expm1((n-1) * dec(x, d))) dx."""
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        log_w = transform.log_laplace_weighted(x)
-        log_l = transform.log_laplace(x)
-        dec = transform.log_laplace_decrement(x, delta0)
+        log_w, log_l, dec = _log_rows(transform, x, delta0)
         return n * np.exp(log_w + (n - 1) * log_l) * (-np.expm1((n - 1) * dec))
 
     scale = 1.0 / (n * transform.mean())
     return _integrate_semi_infinite(integrand, cfg, scale=scale)
 
 
-def _excluding_row_sums(m: np.ndarray) -> np.ndarray:
-    """Column sums of ``m`` excluding each row in turn, -inf safe.
+def _excluding_row_sums(rows: np.ndarray, mult: np.ndarray) -> np.ndarray:
+    """``sum_h mult[h] * rows[h] - rows[g]`` for each group g, -inf safe.
 
-    Entries may be -inf (a transform that underflowed); a column sum that
-    still contains one after the exclusion stays -inf.
+    Entries may be -inf (a transform that underflowed); a -inf row counts
+    ``mult[g]`` times, and a sum that still contains one after excluding
+    one member of group g stays -inf.
     """
-    neg = np.isneginf(m)
+    neg = np.isneginf(rows)
     if not neg.any():
-        return m.sum(axis=0, keepdims=True) - m
-    n_neg = neg.sum(axis=0)
-    finite_sum = np.where(neg, 0.0, m).sum(axis=0)
-    out = finite_sum[None, :] - np.where(neg, 0.0, m)
-    keeps_inf = (n_neg[None, :] >= 2) | ((n_neg[None, :] == 1) & ~neg)
+        return np.sum(mult * rows, axis=0) - rows
+    n_neg = np.sum(mult * neg, axis=0)
+    finite = np.where(neg, 0.0, rows)
+    out = np.sum(mult * finite, axis=0) - finite
+    keeps_inf = (n_neg >= 2) | ((n_neg == 1) & ~neg)
     return np.where(keeps_inf, -np.inf, out)
 
 
-def _inid_positive_integral(transforms, delta0: float, cfg: QuadratureConfig):
-    """C = integral sum_i W_i(x) prod_{j!=i} L_j(x) (-expm1(sum_{j!=i} dec_j)) dx."""
+def _inid_positive_integral(transforms, mult, delta0: float, cfg: QuadratureConfig):
+    """C = integral sum_i W_i(x) prod_{j!=i} L_j(x) (-expm1(sum_{j!=i} dec_j)) dx.
+
+    Each transform yields one row, or a block of rows when array-valued;
+    stacked, row g stands for ``mult[g]`` identical miners.
+    """
+    means = np.concatenate([np.atleast_1d(t.mean()) for t in transforms])
+    scale = 1.0 / math.fsum((mult * means).tolist())
+    mult = np.asarray(mult, dtype=float)[:, None]
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        log_w = np.stack([t.log_laplace_weighted(x) for t in transforms])
-        log_l = np.stack([t.log_laplace(x) for t in transforms])
-        dec = np.stack([t.log_laplace_decrement(x, delta0) for t in transforms])
-        rest_l = _excluding_row_sums(log_l)
-        rest_dec = _excluding_row_sums(dec)
-        return np.sum(np.exp(log_w + rest_l) * (-np.expm1(rest_dec)), axis=0)
+        per_transform = (_log_rows(t, x, delta0) for t in transforms)
+        log_w, log_l, dec = (np.vstack(r) for r in zip(*per_transform))
+        rest_l = _excluding_row_sums(log_l, mult)
+        rest_dec = _excluding_row_sums(dec, mult)
+        return np.sum(mult * np.exp(log_w + rest_l) * (-np.expm1(rest_dec)), axis=0)
 
-    scale = 1.0 / math.fsum(t.mean() for t in transforms)
     return _integrate_semi_infinite(integrand, cfg, scale=scale)
 
 
@@ -225,11 +232,8 @@ def _closed_form_integral(family, n: int, delta0: float, cfg: QuadratureConfig):
     rate is its difference against the ``d = 0`` normalization, folded into
     one ``expm1`` factor.
     """
-    if isinstance(family, Exponential):
-        k, b = 1.0, family.rate
-    else:
-        k, b = family.shape, family.beta
-
+    gamma_form = transform_for(family)
+    k, b = gamma_form.shape, gamma_form.beta
     log_pref = math.log(n) + math.log(k) + n * k * math.log(b)
 
     def integrand(x: np.ndarray) -> np.ndarray:
@@ -256,8 +260,7 @@ def fork_rate_iid(
     quadrature otherwise; ``method='quadrature'`` forces the generic path.
     """
     _require_competition(n)
-    if delta0 < 0:
-        raise ValueError(f"delta0 must be >= 0, got {delta0}")
+    check_delay(delta0)
     has_closed_form = isinstance(family, (Exponential, TruncatedPowerLaw))
     if method == "auto":
         method = "closed_form" if has_closed_form else "quadrature"
@@ -269,13 +272,7 @@ def fork_rate_iid(
         raw, err = _iid_positive_integral(transform_for(family, cfg), n, delta0, cfg)
     else:
         raise ValueError(f"unknown method {method!r}")
-    value, err = _finalize(float(raw), float(err), cfg)
-    return ForkRateResult(
-        value=value,
-        method=method,
-        error_estimate=err,
-        inputs_echo=f"iid {family!r}, n={n}, delta0={delta0!r}",
-    )
+    return _result(raw, err, cfg, method, f"iid {family!r}, n={n}, delta0={delta0!r}")
 
 
 def fork_rate_inid(
@@ -289,22 +286,15 @@ def fork_rate_inid(
     point masses, or anything exposing the log-transform interface.
     """
     _require_competition(len(members))
-    if delta0 < 0:
-        raise ValueError(f"delta0 must be >= 0, got {delta0}")
+    check_delay(delta0)
     transforms = [
         transform_for(m, cfg)
         if isinstance(m, (Exponential, LogNormal, TruncatedPowerLaw))
         else m
         for m in members
     ]
-    raw, err = _inid_positive_integral(transforms, delta0, cfg)
-    value, err = _finalize(float(raw), float(err), cfg)
-    return ForkRateResult(
-        value=value,
-        method="quadrature",
-        error_estimate=err,
-        inputs_echo=f"inid, n={len(members)}, delta0={delta0!r}",
-    )
+    raw, err = _inid_positive_integral(transforms, np.ones(len(transforms)), delta0, cfg)
+    return _result(raw, err, cfg, "quadrature", f"inid, n={len(members)}, delta0={delta0!r}")
 
 
 def fork_rate_semi_empirical(
@@ -315,33 +305,24 @@ def fork_rate_semi_empirical(
     """Fork rate under block-count posteriors.
 
     The i.i.d. variant draws every miner from the posterior mixture; the
-    independent variant assigns miner i its own posterior and composes the
-    per-miner transforms inside the generic product integral.
+    independent variant assigns miner i its own posterior.  Both evaluate
+    one posterior transform per distinct block count, and miners that
+    share a count enter through its multiplicity.
     """
     _require_competition(model.counts.n)
-    if delta0 < 0:
-        raise ValueError(f"delta0 must be >= 0, got {delta0}")
+    check_delay(delta0)
     gamma = model.gamma
     if isinstance(model, SemiEmpiricalIID):
-        mixture = MixtureTransform(
-            [PosteriorTransform(b, gamma) for b in model.counts.counts]
-        )
+        mixture = posterior_mixture(model.counts.counts, gamma)
         raw, err = _iid_positive_integral(mixture, model.counts.n, delta0, cfg)
         detail = "iid mixture"
     else:
-        transforms = [PosteriorTransform(b, gamma) for b in model.counts.counts]
-        raw, err = _inid_positive_integral(transforms, delta0, cfg)
+        blocks, mult = np.unique(model.counts.counts, return_counts=True)
+        post = PosteriorTransform(blocks, gamma)
+        raw, err = _inid_positive_integral([post], mult, delta0, cfg)
         detail = "inid per-miner"
-    value, err = _finalize(float(raw), float(err), cfg)
-    return ForkRateResult(
-        value=value,
-        method="semi_empirical",
-        error_estimate=err,
-        inputs_echo=(
-            f"semi-empirical {detail}, n={model.counts.n}, "
-            f"gamma={gamma!r}, delta0={delta0!r}"
-        ),
-    )
+    echo = f"semi-empirical {detail}, n={model.counts.n}, gamma={gamma!r}, delta0={delta0!r}"
+    return _result(raw, err, cfg, "semi_empirical", echo)
 
 
 def fork_rate(
@@ -370,7 +351,8 @@ def implied_delta0(
     fork_rate_value: float, lambda_total: float, hhi_value: float
 ) -> ImpliedResult:
     """Propagation delay that reproduces a fork rate at first order."""
-    if not (0.0 <= fork_rate_value < 1.0):
+    check_delay(fork_rate_value, "fork rate")
+    if not (fork_rate_value < 1.0):
         raise ValueError(f"fork rate must lie in [0, 1), got {fork_rate_value}")
     if not (lambda_total > 0):
         raise ValueError(f"lambda_total must be > 0, got {lambda_total}")
@@ -390,11 +372,13 @@ def implied_hhi(
     A result below 0 (the observed fork rate is too high for the assumed
     delay) or above 1 is reported with ``valid=False`` rather than raised.
     """
-    if not (0.0 <= fork_rate_value < 1.0):
+    check_delay(fork_rate_value, "fork rate")
+    if not (fork_rate_value < 1.0):
         raise ValueError(f"fork rate must lie in [0, 1), got {fork_rate_value}")
     if not (lambda_total > 0):
         raise ValueError(f"lambda_total must be > 0, got {lambda_total}")
-    if not (delta0 > 0):
-        raise ValueError(f"delta0 must be > 0, got {delta0}")
+    check_delay(delta0)
+    if delta0 == 0.0:
+        raise ValueError("delta0 must be > 0 to imply a concentration")
     value = 1.0 - fork_rate_value / (lambda_total * delta0)
     return ImpliedResult(value=value, valid=0.0 <= value <= 1.0)

@@ -8,10 +8,11 @@ freely shareable across threads.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
-from .errors import InvalidModel
+from .errors import InvalidDelay, InvalidModel
 from .quadrature import NullFamily
 
 __all__ = [
@@ -26,6 +27,7 @@ __all__ = [
     "PeriodRecord",
     "ForkRateResult",
     "characteristic_time",
+    "check_delay",
 ]
 
 
@@ -215,10 +217,21 @@ class ForkRateResult:
             )
 
 
+def check_delay(value: float, name: str = "delta0") -> None:
+    """Raise :class:`InvalidDelay` unless ``value`` is 0 or a positive normal float.
+
+    A positive subnormal input has already lost the significant digits
+    that products and inversions of it need, so it is rejected like NaN,
+    infinity and negative values.  The first-order fork rate, a delay
+    times a rate, goes through the same check.
+    """
+    if not (value == 0.0 or sys.float_info.min <= value < math.inf):
+        raise InvalidDelay(f"{name} must be 0 or a positive normal float, got {value!r}")
+
+
 def characteristic_time(delta0: float, lambda_total: float) -> float:
     """Propagation delay over expected block time: ``delta0 * lambda_total``."""
-    if delta0 < 0:
-        raise ValueError(f"delta0 must be >= 0, got {delta0}")
+    check_delay(delta0)
     if not (lambda_total > 0):
         raise ValueError(f"lambda_total must be > 0, got {lambda_total}")
     return delta0 * lambda_total

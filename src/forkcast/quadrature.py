@@ -14,8 +14,11 @@ This module provides
 * the three null hash-rate families (exponential, log-normal, truncated
   power law) with densities, samplers and closed-form or numeric
   transforms;
-* the per-miner posterior transforms conditioned on an observed block
-  count, used by the semi-empirical fork-rate formulas.
+* the block-count posterior transform, evaluated for a whole miner
+  population at once: the population is held as its distinct block
+  counts plus a multiplicity for each, so the semi-empirical fork-rate
+  formulas cost one broadcast per distinct count rather than one object
+  per miner.
 
 Products of many transform factors are accumulated as sums of logarithms
 (miner counts can reach hundreds, which would underflow in linear space),
@@ -49,7 +52,6 @@ __all__ = [
     "laplace_weighted",
     "posterior_laplace",
     "posterior_laplace_weighted",
-    "ExpTransform",
     "LogNormalTransform",
     "TplTransform",
     "PointMassTransform",
@@ -190,12 +192,6 @@ def _adaptive(f: Integrand, edges: Sequence[float], cfg: QuadratureConfig):
         n_segments += 1
 
     return total_val, total_err
-
-
-def _integrate_finite(
-    f: Integrand, edges: Sequence[float], cfg: QuadratureConfig = DEFAULT_CONFIG
-):
-    return _adaptive(f, edges, cfg)
 
 
 def _integrate_semi_infinite(
@@ -382,7 +378,7 @@ def _lognormal_expect(
             vals *= -np.expm1(-decrement * lam)[:, None]
         return vals
 
-    value, _ = _integrate_finite(integrand, _Z_EDGES, cfg)
+    value, _ = _adaptive(integrand, _Z_EDGES, cfg)
     return value
 
 
@@ -392,13 +388,7 @@ def laplace(
     """E[exp(-s*lam)] for the family; closed form except for the log-normal."""
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    if isinstance(family, Exponential):
-        return family.rate / (family.rate + s)
-    if isinstance(family, TruncatedPowerLaw):
-        return math.exp(family.shape * math.log(family.beta / (family.beta + s)))
-    if isinstance(family, LogNormal):
-        return float(_lognormal_expect(family.mu, family.sigma, s, cfg)[0])
-    raise InvalidFamily(f"unknown family {family!r}")
+    return np.exp(transform_for(family, cfg).log_laplace(s)).item()
 
 
 def laplace_weighted(
@@ -407,18 +397,7 @@ def laplace_weighted(
     """E[lam * exp(-s*lam)]; equals -d/ds of :func:`laplace`."""
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    if isinstance(family, Exponential):
-        return family.rate / (family.rate + s) ** 2
-    if isinstance(family, TruncatedPowerLaw):
-        k = family.shape
-        return math.exp(
-            math.log(k) + k * math.log(family.beta) - (k + 1.0) * math.log(family.beta + s)
-        )
-    if isinstance(family, LogNormal):
-        return float(
-            _lognormal_expect(family.mu, family.sigma, s, cfg, weighted=True)[0]
-        )
-    raise InvalidFamily(f"unknown family {family!r}")
+    return np.exp(transform_for(family, cfg).log_laplace_weighted(s)).item()
 
 
 # ---------------------------------------------------------------------------
@@ -436,30 +415,16 @@ def laplace_weighted(
 
 def posterior_laplace(b: float, gamma: float, s: float) -> float:
     """E[exp(-s*lam)] under the block-count posterior; value in (0, 1]."""
-    if not (gamma > 0):
-        raise ValueError(f"gamma must be > 0, got {gamma}")
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    if b < 0:
-        raise ValueError(f"b must be >= 0, got {b}")
-    u2 = 1.0 + 2.0 * s / gamma
-    u = math.sqrt(u2)
-    return math.exp(b * (1.0 - u) - 0.5 * math.log(u2))
+    return np.exp(PosteriorTransform(b, gamma).log_laplace(s)).item()
 
 
 def posterior_laplace_weighted(b: float, gamma: float, s: float) -> float:
     """E[lam * exp(-s*lam)] under the block-count posterior."""
-    if not (gamma > 0):
-        raise ValueError(f"gamma must be > 0, got {gamma}")
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    if b < 0:
-        raise ValueError(f"b must be >= 0, got {b}")
-    u2 = 1.0 + 2.0 * s / gamma
-    u = math.sqrt(u2)
-    return math.exp(
-        math.log1p(b * u) + b * (1.0 - u) - math.log(gamma) - 1.5 * math.log(u2)
-    )
+    return np.exp(PosteriorTransform(b, gamma).log_laplace_weighted(s)).item()
 
 
 # ---------------------------------------------------------------------------
@@ -467,29 +432,12 @@ def posterior_laplace_weighted(b: float, gamma: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-class ExpTransform:
-    """Log-domain transform of an exponential rate distribution."""
-
-    def __init__(self, rate: float):
-        if not (rate > 0 and math.isfinite(rate)):
-            raise InvalidFamily(f"rate must be > 0, got {rate}")
-        self.rate = rate
-
-    def log_laplace(self, s: np.ndarray) -> np.ndarray:
-        return math.log(self.rate) - np.log(self.rate + s)
-
-    def log_laplace_weighted(self, s: np.ndarray) -> np.ndarray:
-        return math.log(self.rate) - 2.0 * np.log(self.rate + s)
-
-    def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
-        return -np.log1p(d / (self.rate + s))
-
-    def mean(self) -> float:
-        return 1.0 / self.rate
-
-
 class TplTransform:
-    """Log-domain transform of a truncated power law (Gamma form)."""
+    """Log-domain transform of a truncated power law (Gamma form).
+
+    ``alpha = 0`` is the exponential family: shape 1 multiplies exactly
+    and ``log(1) == 0``, so no separate exponential transform is needed.
+    """
 
     def __init__(self, alpha: float, beta: float):
         fam = TruncatedPowerLaw(alpha, beta)  # parameter validation
@@ -583,40 +531,43 @@ class PointMassTransform:
 
 
 class PosteriorTransform:
-    """Transform of the block-count posterior for one miner."""
+    """Block-count posterior transforms of one miner or a group of miners.
 
-    def __init__(self, blocks: float, gamma: float):
-        if blocks < 0:
-            raise ValueError(f"blocks must be >= 0, got {blocks}")
+    ``blocks`` is a scalar count or a 1-D array of counts.  Every method
+    broadcasts to shape ``blocks.shape + s.shape``: one row per count.
+    """
+
+    def __init__(self, blocks, gamma: float):
+        blocks = np.asarray(blocks, dtype=float)
+        if blocks.ndim > 1 or not np.all(blocks >= 0):
+            raise ValueError(f"blocks must be >= 0 (scalar or 1-D), got {blocks}")
         if not (gamma > 0 and math.isfinite(gamma)):
             raise ValueError(f"gamma must be > 0, got {gamma}")
-        self.blocks = float(blocks)
+        self.blocks = blocks
         self.gamma = gamma
 
-    def _u(self, s: np.ndarray) -> np.ndarray:
-        return np.sqrt(1.0 + 2.0 * np.asarray(s, dtype=float) / self.gamma)
+    def _counts_and_u(self, s: np.ndarray):
+        """Counts shaped to broadcast against ``s``, and ``u(s)``."""
+        s = np.asarray(s, dtype=float)
+        u = np.sqrt(1.0 + 2.0 * s / self.gamma)
+        return self.blocks.reshape(self.blocks.shape + (1,) * s.ndim), u
 
     def log_laplace(self, s: np.ndarray) -> np.ndarray:
-        u = self._u(s)
-        return self.blocks * (1.0 - u) - np.log(u)
+        b, u = self._counts_and_u(s)
+        return b * (1.0 - u) - np.log(u)
 
     def log_laplace_weighted(self, s: np.ndarray) -> np.ndarray:
-        u = self._u(s)
-        return (
-            np.log1p(self.blocks * u)
-            + self.blocks * (1.0 - u)
-            - math.log(self.gamma)
-            - 3.0 * np.log(u)
-        )
+        b, u = self._counts_and_u(s)
+        return np.log1p(b * u) + b * (1.0 - u) - math.log(self.gamma) - 3.0 * np.log(u)
 
     def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
-        u1 = self._u(s)
+        b, u1 = self._counts_and_u(s)
         step = 2.0 * d / self.gamma
         u2 = np.sqrt(u1 * u1 + step)
         # u1 - u2 formed through the difference of squares: no cancellation
-        return -self.blocks * step / (u1 + u2) - 0.5 * np.log1p(step / (u1 * u1))
+        return -b * step / (u1 + u2) - 0.5 * np.log1p(step / (u1 * u1))
 
-    def mean(self) -> float:
+    def mean(self):
         return (1.0 + self.blocks) / self.gamma
 
 
@@ -629,38 +580,27 @@ def _logsumexp(rows: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 class MixtureTransform:
-    """Equal- or general-weight mixture of component transforms.
+    """Weighted mixture of the rows of one array-valued transform.
 
-    The decrement is assembled from the components' own decrements so the
-    mixture keeps full relative precision for small ``d``.
+    ``components`` returns one row per component (shape
+    ``(k, points)``); ``log_weights`` has shape ``(k,)``.  The decrement
+    is assembled from the components' own decrements so the mixture
+    keeps full relative precision for small ``d``.
     """
 
-    def __init__(self, components: Sequence, log_weights: Sequence[float] | None = None):
-        if not components:
-            raise ValueError("mixture needs at least one component")
-        self.components = tuple(components)
-        if log_weights is None:
-            lw = -math.log(len(self.components))
-            self.log_weights = np.full(len(self.components), lw)
-        else:
-            self.log_weights = np.asarray(log_weights, dtype=float)
-            if self.log_weights.shape != (len(self.components),):
-                raise ValueError("log_weights length mismatch")
-
-    def _stack(self, method: str, *args) -> np.ndarray:
-        return np.stack([getattr(c, method)(*args) for c in self.components])
+    def __init__(self, components, log_weights):
+        self.components = components
+        self.log_weights = np.asarray(log_weights, dtype=float)[:, None]
 
     def log_laplace(self, s: np.ndarray) -> np.ndarray:
-        rows = self._stack("log_laplace", s) + self.log_weights[:, None]
-        return _logsumexp(rows)
+        return _logsumexp(self.components.log_laplace(s) + self.log_weights)
 
     def log_laplace_weighted(self, s: np.ndarray) -> np.ndarray:
-        rows = self._stack("log_laplace_weighted", s) + self.log_weights[:, None]
-        return _logsumexp(rows)
+        return _logsumexp(self.components.log_laplace_weighted(s) + self.log_weights)
 
     def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
-        log_l = self._stack("log_laplace", s) + self.log_weights[:, None]
-        dec = self._stack("log_laplace_decrement", s, d)
+        log_l = self.components.log_laplace(s) + self.log_weights
+        dec = self.components.log_laplace_decrement(s, d)
         m = np.max(log_l, axis=0)
         a = np.exp(log_l - m)
         drop = np.sum(a * (-np.expm1(dec)), axis=0)
@@ -668,14 +608,13 @@ class MixtureTransform:
         return np.log1p(-drop / total)
 
     def mean(self) -> float:
-        w = np.exp(self.log_weights)
-        return float(np.sum(w * np.array([c.mean() for c in self.components])))
+        return float(np.sum(np.exp(self.log_weights[:, 0]) * self.components.mean()))
 
 
 def transform_for(family: NullFamily, cfg: QuadratureConfig = DEFAULT_CONFIG):
     """Build the log-domain transform backing a null family."""
     if isinstance(family, Exponential):
-        return ExpTransform(family.rate)
+        return TplTransform(0.0, family.rate)
     if isinstance(family, TruncatedPowerLaw):
         return TplTransform(family.alpha, family.beta)
     if isinstance(family, LogNormal):
@@ -684,5 +623,10 @@ def transform_for(family: NullFamily, cfg: QuadratureConfig = DEFAULT_CONFIG):
 
 
 def posterior_mixture(counts: Sequence[int], gamma: float) -> MixtureTransform:
-    """Equal-weight mixture of per-miner block-count posteriors."""
-    return MixtureTransform([PosteriorTransform(b, gamma) for b in counts])
+    """Equal-weight mixture of per-miner block-count posteriors.
+
+    Miners with the same count share one component, weighted by their
+    multiplicity: the cost scales with the number of distinct counts.
+    """
+    blocks, mult = np.unique(np.asarray(counts, dtype=float), return_counts=True)
+    return MixtureTransform(PosteriorTransform(blocks, gamma), np.log(mult / mult.sum()))

@@ -27,6 +27,7 @@ from .model import (
     INIDNull,
     SemiEmpiricalIID,
     SemiEmpiricalINID,
+    check_delay,
 )
 
 __all__ = ["SimConfig", "SimOutcome", "simulate_fork_rate", "simulate_min_time"]
@@ -54,8 +55,7 @@ class SimConfig:
     def __post_init__(self):
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
-        if self.delta0 < 0:
-            raise ValueError(f"delta0 must be >= 0, got {self.delta0}")
+        check_delay(self.delta0)
         if self.threads < 0:
             raise ValueError(f"threads must be >= 0, got {self.threads}")
 

@@ -309,21 +309,6 @@ class TestPipelineCommand:
             assert entry["fork_rate_empirical"] == 0.0
             assert entry["model_fork_rates"]["exp"]["p50"] > 0
 
-    def test_thread_invariance(self, tmp_path, dataset_dir):
-        docs = []
-        for t in ("1", "4"):
-            out = tmp_path / f"report_{t}.json"
-            main([
-                "pipeline",
-                "--blocks", str(dataset_dir / "blocks.csv"),
-                "--stale", str(dataset_dir / "stale.csv"),
-                "--propagation", str(dataset_dir / "propagation.csv"),
-                "--hashrate", str(dataset_dir / "hashrate.csv"),
-                "--out", str(out), "--threads", t, "--families", "exp,tpl",
-            ])
-            docs.append(out.read_text())
-        assert docs[0] == docs[1]
-
 
 class TestParserBasics:
     def test_help_lists_subcommands(self, capsys):

@@ -1,13 +1,15 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
-from forkcast.errors import DegenerateHHI, DegenerateMinerSet, ShareSumViolation
+from forkcast.errors import DegenerateHHI, DegenerateMinerSet, InvalidDelay, ShareSumViolation
 from forkcast.forkrate import (
+    _excluding_row_sums,
     conditional_fork_rate,
     fork_rate,
     fork_rate_iid,
@@ -271,15 +273,78 @@ class TestSemiEmpirical:
         assert res.method == "semi_empirical"
 
     def test_composed_inid_matches_posterior_transform_composition(self):
-        # same integral through the generic engine with explicit posteriors
-        counts = BlockCounts([12, 3, 0, 7, 1])
+        # same integral through the generic engine with one explicit
+        # posterior per miner; the second vector is dominated by repeats
         gamma = 9500.0
         d0 = 50.0
-        res = fork_rate_semi_empirical(SemiEmpiricalINID(counts, gamma), d0).value
-        via_inid = fork_rate_inid(
-            [PosteriorTransform(b, gamma) for b in counts.counts], d0
-        ).value
-        assert res == pytest.approx(via_inid, rel=1e-12)
+        for counts in ([12, 3, 0, 7, 1], [12, 3, 0, 0, 7, 1, 1, 0, 3, 0, 1, 12, 0, 0, 1, 0]):
+            counts = BlockCounts(counts)
+            res = fork_rate_semi_empirical(SemiEmpiricalINID(counts, gamma), d0).value
+            via_inid = fork_rate_inid(
+                [PosteriorTransform(b, gamma) for b in counts.counts], d0
+            ).value
+            assert res == pytest.approx(via_inid, rel=1e-12)
+
+
+class TestExcludingRowSums:
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_neg_inf_group_counts_its_multiplicity(self, m):
+        rows = np.array([[-np.inf, -1.0], [-2.0, -3.0]])
+        out = _excluding_row_sums(rows, np.array([[float(m)], [1.0]]))
+        # column 0: the -inf group's own member is excluded from its sum; with
+        # m = 2 a second -inf member remains, with m = 1 none does
+        if m == 2:
+            assert np.all(np.isneginf(out[:, 0]))
+        else:
+            assert out[0, 0] == -2.0
+            assert np.isneginf(out[1, 0])
+        # column 1 is finite everywhere: sum over all members minus one
+        assert out[0, 1] == pytest.approx(m * -1.0 - 3.0 + 1.0)
+        assert out[1, 1] == pytest.approx(m * -1.0)
+
+
+class TestDelayValidation:
+    """Bad delays fail at the public boundary with one typed error."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 5e-324, 2.2e-313])
+    def test_every_entry_point_rejects(self, bad):
+        miners = MinerSet([0.001, 0.0007])
+        semi = SemiEmpiricalINID(BlockCounts([5, 10]), 1e6)
+        calls = [
+            lambda: conditional_fork_rate(miners, bad),
+            lambda: pdf_delta_conditional(miners, bad),
+            lambda: taylor_fork_rate(0.0017, 0.2, bad),
+            lambda: fork_rate_iid(Exponential(2e4), 5, bad),
+            lambda: fork_rate_inid([Exponential(2e4), Exponential(1e4)], bad),
+            lambda: fork_rate_semi_empirical(semi, bad),
+            lambda: implied_hhi(0.001, 0.0017, bad),
+            lambda: SimConfig(Fixed(miners), bad, 10, seed=0),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidDelay):
+                call()
+
+    def test_conditional_nan_is_a_delay_error(self):
+        # formerly surfaced as InvalidModel from the result constructor
+        with pytest.raises(InvalidDelay, match="delta0"):
+            conditional_fork_rate(MinerSet([0.001, 0.0007]), math.nan)
+
+    def test_iid_nan_is_a_delay_error(self):
+        # formerly surfaced as NonFinite from deep inside quadrature
+        with pytest.raises(InvalidDelay, match="delta0"):
+            fork_rate_iid(LogNormal(-10.7, 1.27), 5, math.nan)
+
+    def test_smallest_normal_and_zero_accepted(self):
+        miners = MinerSet([0.001, 0.0007])
+        assert conditional_fork_rate(miners, 0.0).value == 0.0
+        assert conditional_fork_rate(miners, sys.float_info.min).value >= 0.0
+
+    @pytest.mark.parametrize("bad", [math.nan, -1e-3, 1e-310])
+    def test_implied_rejects_bad_fork_rate(self, bad):
+        with pytest.raises(InvalidDelay, match="fork rate"):
+            implied_delta0(bad, 0.0017, 0.2)
+        with pytest.raises(InvalidDelay, match="fork rate"):
+            implied_hhi(bad, 0.0017, 2.0)
 
 
 class TestDispatcher:
@@ -322,10 +387,29 @@ class TestImplied:
         h=st.floats(0.01, 0.99),
         d0=st.floats(0.0, 100.0),
     )
+    @example(lam=1e-4, h=0.5, d0=2.2250738585e-313)
+    @example(lam=1e-4, h=0.5, d0=5e-324)
+    @example(lam=1e-4, h=0.5, d0=3e-304)  # normal d0, subnormal fork rate
     @settings(max_examples=80, deadline=None)
     def test_taylor_roundtrip(self, lam, h, d0):
+        # the round trip holds where d0 and the fork rate c are 0 or normal;
+        # a positive subnormal has lost the digits the inverse needs, so
+        # it must be rejected instead
+        def subnormal(x):
+            return 0.0 < x < sys.float_info.min
+
+        if subnormal(d0):
+            with pytest.raises(InvalidDelay):
+                taylor_fork_rate(lam, h, d0)
+            return
         c = taylor_fork_rate(lam, h, d0).value
         if c >= 1.0:  # clamped; inverse undefined
+            return
+        if subnormal(c):
+            with pytest.raises(InvalidDelay):
+                implied_delta0(c, lam, h)
+            with pytest.raises(InvalidDelay):
+                implied_hhi(c, lam, d0)
             return
         assert implied_delta0(c, lam, h).value == pytest.approx(d0, rel=1e-9, abs=1e-12)
         if d0 > 0:

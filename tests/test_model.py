@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from forkcast.errors import InvalidModel
+from forkcast.errors import InvalidDelay, InvalidModel
 from forkcast.model import (
     BlockCounts,
     Fixed,
@@ -126,3 +126,9 @@ class TestCharacteristicTime:
             characteristic_time(-1.0, 0.0017)
         with pytest.raises(ValueError):
             characteristic_time(1.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e-320])
+    def test_rejects_non_finite_or_subnormal_delay(self, bad):
+        # NaN formerly passed straight through as a NaN result
+        with pytest.raises(InvalidDelay):
+            characteristic_time(bad, 1.0)

@@ -11,7 +11,6 @@ from forkcast.quadrature import (
     DEFAULT_CONFIG,
     Exponential,
     LogNormal,
-    MixtureTransform,
     PointMassTransform,
     PosteriorTransform,
     QuadratureConfig,
@@ -21,6 +20,7 @@ from forkcast.quadrature import (
     laplace_weighted,
     posterior_laplace,
     posterior_laplace_weighted,
+    posterior_mixture,
     transform_for,
 )
 
@@ -287,21 +287,39 @@ class TestTransforms:
 
     def test_mixture_equal_weights(self):
         gamma = 1e6
-        comps = [PosteriorTransform(b, gamma) for b in (0, 5, 50)]
-        mix = MixtureTransform(comps)
         s = np.array([0.0, 3.0, 300.0])
-        direct = np.mean(
-            [np.exp(c.log_laplace(s)) for c in comps], axis=0
-        )
-        assert np.allclose(np.exp(mix.log_laplace(s)), direct, rtol=1e-12)
-        assert mix.mean() == pytest.approx(np.mean([c.mean() for c in comps]))
+        # the second vector repeats counts, which share one grouped component
+        for counts in ((0, 5, 50), (0, 5, 5, 50, 0, 0, 5)):
+            comps = [PosteriorTransform(b, gamma) for b in counts]
+            mix = posterior_mixture(counts, gamma)
+            direct = np.mean(
+                [np.exp(c.log_laplace(s)) for c in comps], axis=0
+            )
+            assert np.allclose(np.exp(mix.log_laplace(s)), direct, rtol=1e-12)
+            assert mix.mean() == pytest.approx(np.mean([c.mean() for c in comps]))
 
     def test_mixture_decrement_is_stable(self):
         gamma = 1.17647e7
-        mix = MixtureTransform([PosteriorTransform(b, gamma) for b in (1, 100, 6000)])
         s = np.array([1.0, 500.0])
         d = 1e-4
-        dec = mix.log_laplace_decrement(s, d)
-        # the analytic derivative of log L bounds the decrement: dec ~ -d * W/L
-        w_over_l = np.exp(mix.log_laplace_weighted(s) - mix.log_laplace(s))
-        assert np.allclose(dec, -d * w_over_l, rtol=1e-3)
+        for counts in ((1, 100, 6000), (1, 1, 1, 100, 6000, 6000)):
+            mix = posterior_mixture(counts, gamma)
+            dec = mix.log_laplace_decrement(s, d)
+            # the analytic derivative of log L bounds the decrement: dec ~ -d * W/L
+            w_over_l = np.exp(mix.log_laplace_weighted(s) - mix.log_laplace(s))
+            assert np.allclose(dec, -d * w_over_l, rtol=1e-3)
+
+    def test_posterior_transform_broadcasts_over_counts(self):
+        gamma = 9500.0
+        counts = np.array([0.0, 3.0, 12.0])
+        s = np.array([0.0, 1e-3, 2.0, 50.0])
+        grouped = PosteriorTransform(counts, gamma)
+        assert grouped.log_laplace(s).shape == (3, 4)
+        assert PosteriorTransform(3, gamma).log_laplace(s).shape == (4,)
+        for method, args in (("log_laplace", ()), ("log_laplace_weighted", ()),
+                             ("log_laplace_decrement", (0.815,))):
+            rows = getattr(grouped, method)(s, *args)
+            for row, b in zip(rows, counts):
+                single = getattr(PosteriorTransform(b, gamma), method)(s, *args)
+                assert np.array_equal(row, single)
+        assert np.array_equal(grouped.mean(), (1.0 + counts) / gamma)
