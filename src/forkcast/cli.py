@@ -34,6 +34,7 @@ from .estimate import (
 from .forkrate import (
     conditional_fork_rate,
     fork_rate,
+    fork_rate_curve,
     hhi_from_counts,
     implied_delta0,
     implied_hhi,
@@ -336,9 +337,8 @@ def _period_entry(record, families: list[str]) -> dict:
         else:
             model = IIDNull(method_of_moments(mp, fam_kind), counts.n)
             label = fam_kind
-        model_rates[label] = {
-            pct: fork_rate(model, d0).value for pct, d0 in delays.items()
-        }
+        curve = fork_rate_curve(model, list(delays.values()))
+        model_rates[label] = {pct: res.value for pct, res in zip(delays, curve)}
 
     hhi_value = hhi_from_counts(counts)
     imp_d0 = implied_delta0(record.fork_rate_empirical, lam, hhi_value)

@@ -18,8 +18,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import AllZero, DegenerateMinerSet, InvalidMoments
-from .forkrate import fork_rate_iid
-from .model import BlockCounts, MinerSet
+from .forkrate import fork_rate_curve
+from .model import BlockCounts, IIDNull, MinerSet
 from .quadrature import (
     DEFAULT_CONFIG,
     Exponential,
@@ -233,14 +233,13 @@ def confidence_band(
         if family is None:
             curves[row] = np.nan
             continue
-        for col, d0 in enumerate(grid):
-            curves[row, col] = fork_rate_iid(family, n, d0, cfg).value
+        curves[row] = [res.value for res in fork_rate_curve(IIDNull(family, n), grid, cfg)]
     if np.isnan(curves).any():
         keep = ~np.isnan(curves).any(axis=1)
         curves = curves[keep]
 
     point_family = method_of_moments(mp, family_kind)
-    point = [fork_rate_iid(point_family, n, d0, cfg).value for d0 in grid]
+    point = [res.value for res in fork_rate_curve(IIDNull(point_family, n), grid, cfg)]
     lower = np.percentile(curves, low, axis=0)
     upper = np.percentile(curves, high, axis=0)
     return ConfidenceBand(

@@ -16,17 +16,30 @@ The bracketed difference form is equivalent to the usual ``1 - integral``
 but is evaluated here as a positive integrand built from ``expm1``-stable
 decrements, so small fork rates keep full relative accuracy instead of
 dying by cancellation against 1.
+
+Only the decrement ``log L(d + x) - log L(x)`` depends on the delay, so the
+primitive is a fork-rate *curve*: :func:`fork_rate_curve` integrates a
+whole delay grid as one vector-valued integral, evaluating ``W`` and ``L``
+once per point, and returns one result with its own error estimate per
+delay.  The single-delay entry points are curves of one delay.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import DegenerateHHI, DegenerateMinerSet, NonConvergent, ShareSumViolation
+from .errors import (
+    DegenerateHHI,
+    DegenerateMinerSet,
+    InvalidDelay,
+    NonConvergent,
+    ShareSumViolation,
+)
 from .model import (
     Fixed,
     ForkRateResult,
@@ -37,6 +50,7 @@ from .model import (
     SemiEmpiricalIID,
     SemiEmpiricalINID,
     check_delay,
+    check_rate,
 )
 from .quadrature import (
     DEFAULT_CONFIG,
@@ -62,6 +76,7 @@ __all__ = [
     "fork_rate_inid",
     "fork_rate_semi_empirical",
     "fork_rate",
+    "fork_rate_curve",
     "implied_delta0",
     "implied_hhi",
 ]
@@ -142,8 +157,7 @@ def taylor_fork_rate(lambda_total: float, hhi_value: float, delta0: float) -> Fo
     if not (0.0 < hhi_value <= 1.0):
         raise ValueError(f"hhi must lie in (0, 1], got {hhi_value}")
     check_delay(delta0)
-    if not (lambda_total > 0):
-        raise ValueError(f"lambda_total must be > 0, got {lambda_total}")
+    check_rate(lambda_total)
     raw = delta0 * lambda_total * (1.0 - hhi_value)
     value = min(max(raw, 0.0), 1.0)
     return ForkRateResult(
@@ -171,17 +185,45 @@ def _result(raw, err, cfg: QuadratureConfig, method: str, echo: str) -> ForkRate
     return ForkRateResult(min(max(value, 0.0), 1.0), method, float(err), echo)
 
 
-def _log_rows(t, x: np.ndarray, d: float):
-    """``(log W, log L, log-decrement)`` of transform ``t`` at ``x``."""
-    return t.log_laplace_weighted(x), t.log_laplace(x), t.log_laplace_decrement(x, d)
+def _curve(raw, err, cfg: QuadratureConfig, method: str, echo: str, delays):
+    """One :func:`_result` per delay; ``echo`` is completed with each delay."""
+    return [
+        _result(raw[i], err[i], cfg, method, f"{echo}, delta0={d!r}")
+        for i, d in enumerate(delays)
+    ]
 
 
-def _iid_positive_integral(transform, n: int, delta0: float, cfg: QuadratureConfig):
-    """C = n * integral W(x) L(x)^(n-1) (-expm1((n-1) * dec(x, d))) dx."""
+def _delay_grid(delays) -> tuple[tuple, np.ndarray]:
+    """Validate every delay before any integration; returns them and their array."""
+    delays = tuple(delays)
+    if not delays:
+        raise ValueError("the delay grid is empty")
+    for d in delays:
+        check_delay(d)
+    return delays, np.asarray(delays, dtype=float)
+
+
+def _log_rows(t, x: np.ndarray, delays: np.ndarray):
+    """``(log W, log L, log-decrements)`` of transform ``t`` at ``x``.
+
+    The decrements gain a last axis, one entry per delay.  A transform
+    with a fused ``log_rows`` evaluation supplies all three at once;
+    otherwise the single-quantity methods are called, the decrement once
+    per delay.
+    """
+    fused = getattr(t, "log_rows", None)
+    if fused is not None:
+        return fused(x, delays)
+    dec = np.stack([t.log_laplace_decrement(x, d) for d in delays], axis=-1)
+    return t.log_laplace_weighted(x), t.log_laplace(x), dec
+
+
+def _iid_positive_integral(transform, n: int, delays: np.ndarray, cfg: QuadratureConfig):
+    """C(d) = n * integral W(x) L(x)^(n-1) (-expm1((n-1) * dec(x, d))) dx, all d at once."""
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        log_w, log_l, dec = _log_rows(transform, x, delta0)
-        return n * np.exp(log_w + (n - 1) * log_l) * (-np.expm1((n - 1) * dec))
+        log_w, log_l, dec = _log_rows(transform, x, delays)
+        return (n * np.exp(log_w + (n - 1) * log_l))[:, None] * (-np.expm1((n - 1) * dec))
 
     scale = 1.0 / (n * transform.mean())
     return _integrate_semi_infinite(integrand, cfg, scale=scale)
@@ -190,9 +232,9 @@ def _iid_positive_integral(transform, n: int, delta0: float, cfg: QuadratureConf
 def _excluding_row_sums(rows: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """``sum_h mult[h] * rows[h] - rows[g]`` for each group g, -inf safe.
 
-    Entries may be -inf (a transform that underflowed); a -inf row counts
-    ``mult[g]`` times, and a sum that still contains one after excluding
-    one member of group g stays -inf.
+    The group axis is axis 0.  Entries may be -inf (a transform that
+    underflowed); a -inf row counts ``mult[g]`` times, and a sum that
+    still contains one after excluding one member of group g stays -inf.
     """
     neg = np.isneginf(rows)
     if not neg.any():
@@ -204,33 +246,37 @@ def _excluding_row_sums(rows: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return np.where(keeps_inf, -np.inf, out)
 
 
-def _inid_positive_integral(transforms, mult, delta0: float, cfg: QuadratureConfig):
-    """C = integral sum_i W_i(x) prod_{j!=i} L_j(x) (-expm1(sum_{j!=i} dec_j)) dx.
+def _inid_positive_integral(transforms, mult, delays: np.ndarray, cfg: QuadratureConfig):
+    """C(d) = integral sum_i W_i(x) prod_{j!=i} L_j(x) (-expm1(sum_{j!=i} dec_j)) dx.
 
     Each transform yields one row, or a block of rows when array-valued;
-    stacked, row g stands for ``mult[g]`` identical miners.
+    stacked, row g stands for ``mult[g]`` identical miners.  All delays
+    are integrated at once.
     """
     means = np.concatenate([np.atleast_1d(t.mean()) for t in transforms])
     scale = 1.0 / math.fsum((mult * means).tolist())
     mult = np.asarray(mult, dtype=float)[:, None]
 
     def integrand(x: np.ndarray) -> np.ndarray:
-        per_transform = (_log_rows(t, x, delta0) for t in transforms)
-        log_w, log_l, dec = (np.vstack(r) for r in zip(*per_transform))
+        per_transform = [_log_rows(t, x, delays) for t in transforms]
+        log_w = np.vstack([r[0] for r in per_transform])
+        log_l = np.vstack([r[1] for r in per_transform])
+        dec = np.concatenate([r[2].reshape(-1, x.size, delays.size) for r in per_transform])
         rest_l = _excluding_row_sums(log_l, mult)
-        rest_dec = _excluding_row_sums(dec, mult)
-        return np.sum(mult * np.exp(log_w + rest_l) * (-np.expm1(rest_dec)), axis=0)
+        rest_dec = _excluding_row_sums(dec, mult[:, :, None])
+        terms = (mult * np.exp(log_w + rest_l))[:, :, None] * (-np.expm1(rest_dec))
+        return np.sum(terms, axis=0)
 
     return _integrate_semi_infinite(integrand, cfg, scale=scale)
 
 
-def _closed_form_integral(family, n: int, delta0: float, cfg: QuadratureConfig):
+def _closed_form_integral(family, n: int, delays: np.ndarray, cfg: QuadratureConfig):
     """Reduced integrand for exponential / truncated-power-law families.
 
     For a Gamma-form family with shape k and rate b the no-fork integrand
     collapses to ``n k b^(nk) / ((b+x)^(1+k) (d+b+x)^((n-1)k))``; the fork
     rate is its difference against the ``d = 0`` normalization, folded into
-    one ``expm1`` factor.
+    one ``expm1`` factor.  All delays are integrated at once.
     """
     gamma_form = transform_for(family)
     k, b = gamma_form.shape, gamma_form.beta
@@ -239,10 +285,84 @@ def _closed_form_integral(family, n: int, delta0: float, cfg: QuadratureConfig):
     def integrand(x: np.ndarray) -> np.ndarray:
         log_bx = np.log(b + x)
         base = np.exp(log_pref - (1.0 + k) * log_bx - (n - 1) * k * log_bx)
-        bracket = -np.expm1(-(n - 1) * k * np.log1p(delta0 / (b + x)))
-        return base * bracket
+        bracket = -np.expm1(-(n - 1) * k * np.log1p(delays / (b + x)[:, None]))
+        return base[:, None] * bracket
 
     return _integrate_semi_infinite(integrand, cfg, scale=b / n)
+
+
+def _iid_curve(family: NullFamily, n: int, delays, cfg: QuadratureConfig, method: str):
+    _require_competition(n)
+    delays, grid = _delay_grid(delays)
+    has_closed_form = isinstance(family, (Exponential, TruncatedPowerLaw))
+    if method == "auto":
+        method = "closed_form" if has_closed_form else "quadrature"
+    if method == "closed_form":
+        if not has_closed_form:
+            raise ValueError(f"no closed form for {type(family).__name__}")
+        raw, err = _closed_form_integral(family, n, grid, cfg)
+    elif method == "quadrature":
+        raw, err = _iid_positive_integral(transform_for(family, cfg), n, grid, cfg)
+    else:
+        raise ValueError(f"unknown method {method!r}")
+    return _curve(raw, err, cfg, method, f"iid {family!r}, n={n}", delays)
+
+
+def _inid_curve(members: Sequence, delays, cfg: QuadratureConfig):
+    _require_competition(len(members))
+    delays, grid = _delay_grid(delays)
+    transforms = [
+        transform_for(m, cfg)
+        if isinstance(m, (Exponential, LogNormal, TruncatedPowerLaw))
+        else m
+        for m in members
+    ]
+    raw, err = _inid_positive_integral(transforms, np.ones(len(transforms)), grid, cfg)
+    return _curve(raw, err, cfg, "quadrature", f"inid, n={len(members)}", delays)
+
+
+def _semi_empirical_curve(
+    model: SemiEmpiricalIID | SemiEmpiricalINID, delays, cfg: QuadratureConfig
+):
+    _require_competition(model.counts.n)
+    delays, grid = _delay_grid(delays)
+    gamma = model.gamma
+    if isinstance(model, SemiEmpiricalIID):
+        mixture = posterior_mixture(model.counts.counts, gamma)
+        raw, err = _iid_positive_integral(mixture, model.counts.n, grid, cfg)
+        detail = "iid mixture"
+    else:
+        blocks, mult = np.unique(model.counts.counts, return_counts=True)
+        post = PosteriorTransform(blocks, gamma)
+        raw, err = _inid_positive_integral([post], mult, grid, cfg)
+        detail = "inid per-miner"
+    echo = f"semi-empirical {detail}, n={model.counts.n}, gamma={gamma!r}"
+    return _curve(raw, err, cfg, "semi_empirical", echo, delays)
+
+
+def fork_rate_curve(
+    model: HashRateModel,
+    delays: Sequence[float],
+    cfg: QuadratureConfig = DEFAULT_CONFIG,
+) -> list[ForkRateResult]:
+    """Fork rates of one model over a delay grid, one result per delay.
+
+    Every delay is validated before any integration.  The quadrature
+    methods integrate the whole grid as one vector-valued integral: the
+    transforms ``W`` and ``L`` do not depend on the delay and are
+    evaluated once per point, each delay keeps its own error estimate.
+    Fixed rates use the closed-form conditional rate at each delay.
+    """
+    if isinstance(model, Fixed):
+        delays, _ = _delay_grid(delays)
+        return [conditional_fork_rate(model.miners, d) for d in delays]
+    if isinstance(model, IIDNull):
+        return _iid_curve(model.family, model.n, delays, cfg, "auto")
+    if isinstance(model, INIDNull):
+        return _inid_curve(model.families, delays, cfg)
+    if isinstance(model, (SemiEmpiricalIID, SemiEmpiricalINID)):
+        return _semi_empirical_curve(model, delays, cfg)
+    raise TypeError(f"unknown hash-rate model {model!r}")
 
 
 def fork_rate_iid(
@@ -259,20 +379,7 @@ def fork_rate_iid(
     exists (exponential, truncated power law) and generic transform
     quadrature otherwise; ``method='quadrature'`` forces the generic path.
     """
-    _require_competition(n)
-    check_delay(delta0)
-    has_closed_form = isinstance(family, (Exponential, TruncatedPowerLaw))
-    if method == "auto":
-        method = "closed_form" if has_closed_form else "quadrature"
-    if method == "closed_form":
-        if not has_closed_form:
-            raise ValueError(f"no closed form for {type(family).__name__}")
-        raw, err = _closed_form_integral(family, n, delta0, cfg)
-    elif method == "quadrature":
-        raw, err = _iid_positive_integral(transform_for(family, cfg), n, delta0, cfg)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return _result(raw, err, cfg, method, f"iid {family!r}, n={n}, delta0={delta0!r}")
+    return _iid_curve(family, n, (delta0,), cfg, method)[0]
 
 
 def fork_rate_inid(
@@ -285,16 +392,7 @@ def fork_rate_inid(
     ``members`` may mix null families, per-miner posterior transforms,
     point masses, or anything exposing the log-transform interface.
     """
-    _require_competition(len(members))
-    check_delay(delta0)
-    transforms = [
-        transform_for(m, cfg)
-        if isinstance(m, (Exponential, LogNormal, TruncatedPowerLaw))
-        else m
-        for m in members
-    ]
-    raw, err = _inid_positive_integral(transforms, np.ones(len(transforms)), delta0, cfg)
-    return _result(raw, err, cfg, "quadrature", f"inid, n={len(members)}, delta0={delta0!r}")
+    return _inid_curve(members, (delta0,), cfg)[0]
 
 
 def fork_rate_semi_empirical(
@@ -309,20 +407,7 @@ def fork_rate_semi_empirical(
     one posterior transform per distinct block count, and miners that
     share a count enter through its multiplicity.
     """
-    _require_competition(model.counts.n)
-    check_delay(delta0)
-    gamma = model.gamma
-    if isinstance(model, SemiEmpiricalIID):
-        mixture = posterior_mixture(model.counts.counts, gamma)
-        raw, err = _iid_positive_integral(mixture, model.counts.n, delta0, cfg)
-        detail = "iid mixture"
-    else:
-        blocks, mult = np.unique(model.counts.counts, return_counts=True)
-        post = PosteriorTransform(blocks, gamma)
-        raw, err = _inid_positive_integral([post], mult, delta0, cfg)
-        detail = "inid per-miner"
-    echo = f"semi-empirical {detail}, n={model.counts.n}, gamma={gamma!r}, delta0={delta0!r}"
-    return _result(raw, err, cfg, "semi_empirical", echo)
+    return _semi_empirical_curve(model, (delta0,), cfg)[0]
 
 
 def fork_rate(
@@ -331,15 +416,7 @@ def fork_rate(
     cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> ForkRateResult:
     """Dispatch to the natural method for the given hash-rate model."""
-    if isinstance(model, Fixed):
-        return conditional_fork_rate(model.miners, delta0)
-    if isinstance(model, IIDNull):
-        return fork_rate_iid(model.family, model.n, delta0, cfg)
-    if isinstance(model, INIDNull):
-        return fork_rate_inid(model.families, delta0, cfg)
-    if isinstance(model, (SemiEmpiricalIID, SemiEmpiricalINID)):
-        return fork_rate_semi_empirical(model, delta0, cfg)
-    raise TypeError(f"unknown hash-rate model {model!r}")
+    return fork_rate_curve(model, (delta0,), cfg)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -354,14 +431,13 @@ def implied_delta0(
     check_delay(fork_rate_value, "fork rate")
     if not (fork_rate_value < 1.0):
         raise ValueError(f"fork rate must lie in [0, 1), got {fork_rate_value}")
-    if not (lambda_total > 0):
-        raise ValueError(f"lambda_total must be > 0, got {lambda_total}")
+    check_rate(lambda_total)
     if hhi_value >= 1.0:
         raise DegenerateHHI("a single-miner market implies no forks at any delay")
     if not (0.0 < hhi_value):
         raise ValueError(f"hhi must lie in (0, 1), got {hhi_value}")
     value = fork_rate_value / (lambda_total * (1.0 - hhi_value))
-    return ImpliedResult(value=value, valid=value >= 0.0)
+    return ImpliedResult(value=value, valid=0.0 <= value < math.inf)
 
 
 def implied_hhi(
@@ -375,10 +451,12 @@ def implied_hhi(
     check_delay(fork_rate_value, "fork rate")
     if not (fork_rate_value < 1.0):
         raise ValueError(f"fork rate must lie in [0, 1), got {fork_rate_value}")
-    if not (lambda_total > 0):
-        raise ValueError(f"lambda_total must be > 0, got {lambda_total}")
+    check_rate(lambda_total)
     check_delay(delta0)
     if delta0 == 0.0:
         raise ValueError("delta0 must be > 0 to imply a concentration")
-    value = 1.0 - fork_rate_value / (lambda_total * delta0)
+    tau = delta0 * lambda_total
+    if not (sys.float_info.min <= tau < math.inf):
+        raise InvalidDelay(f"delta0 * lambda_total must be a normal float, got {tau!r}")
+    value = 1.0 - fork_rate_value / tau
     return ImpliedResult(value=value, valid=0.0 <= value <= 1.0)

@@ -14,6 +14,7 @@ the file path and line number, never a partial record.
 
 from __future__ import annotations
 
+import bisect
 import csv
 import datetime as dt
 import math
@@ -47,6 +48,9 @@ PERIOD_LENGTH = 20_000
 # crowd-sourced stale-block feeds under-report; this factor reconciles the
 # computed rate with the independently reported historical level
 FORK_RATE_RESCALE = 1.476
+
+_SECONDS_PER_DAY = 86_400
+_EPOCH_DAY = dt.date(1970, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -219,23 +223,29 @@ def compute_lambda(
     Mean over blocks of (daily network hash rate / per-block difficulty);
     a block's day falls back to the most recent earlier date in the
     series.  The reciprocal should land near the protocol block time.
+    The ratio depends only on the block's UTC day and ``bits``, so it is
+    computed once per distinct pair.
     """
     if not blocks:
         raise EmptyPeriod("no blocks in period")
     if not hashrate_series:
         raise EmptyPeriod("hash-rate series is empty")
     days = sorted(hashrate_series)
+    cache: dict[tuple[int, int], float] = {}
     ratios = []
     for block in blocks:
-        day = dt.datetime.fromtimestamp(block.timestamp, dt.timezone.utc).date()
-        if day not in hashrate_series:
-            earlier = [d for d in days if d <= day]
-            if not earlier:
+        key = (block.timestamp // _SECONDS_PER_DAY, block.bits)
+        ratio = cache.get(key)
+        if ratio is None:
+            day = _EPOCH_DAY + dt.timedelta(days=key[0])
+            i = bisect.bisect_right(days, day)
+            if i == 0:
                 raise EmptyPeriod(
                     f"hash-rate series starts {days[0]}, after block day {day}"
                 )
-            day = earlier[-1]
-        ratios.append(hashrate_series[day] / bits_to_expected_hashes(block.bits))
+            ratio = hashrate_series[days[i - 1]] / bits_to_expected_hashes(block.bits)
+            cache[key] = ratio
+        ratios.append(ratio)
     return math.fsum(ratios) / len(ratios)
 
 

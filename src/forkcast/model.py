@@ -28,6 +28,7 @@ __all__ = [
     "ForkRateResult",
     "characteristic_time",
     "check_delay",
+    "check_rate",
 ]
 
 
@@ -229,9 +230,21 @@ def check_delay(value: float, name: str = "delta0") -> None:
         raise InvalidDelay(f"{name} must be 0 or a positive normal float, got {value!r}")
 
 
+def check_rate(lambda_total: float) -> None:
+    """Raise :class:`InvalidModel` unless ``lambda_total`` is a positive normal float.
+
+    Zero, negative, NaN, infinite and subnormal rates are rejected: a
+    rate divides or multiplies every quantity derived from it, and a
+    subnormal one turns those into infinities or lost digits.
+    """
+    if not (sys.float_info.min <= lambda_total < math.inf):
+        raise InvalidModel(
+            f"lambda_total must be a positive normal float, got {lambda_total!r}"
+        )
+
+
 def characteristic_time(delta0: float, lambda_total: float) -> float:
     """Propagation delay over expected block time: ``delta0 * lambda_total``."""
     check_delay(delta0)
-    if not (lambda_total > 0):
-        raise ValueError(f"lambda_total must be > 0, got {lambda_total}")
+    check_rate(lambda_total)
     return delta0 * lambda_total

@@ -349,37 +349,32 @@ _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 
 def _lognormal_expect(
-    mu: float,
-    sigma: float,
-    s: np.ndarray,
-    cfg: QuadratureConfig,
-    *,
-    weighted: bool = False,
-    decrement: float | None = None,
-) -> np.ndarray:
-    """E[lam^w * exp(-s*lam) * (1 - exp(-d*lam))] over log-normal lam.
+    mu: float, sigma: float, s: np.ndarray, delays: np.ndarray, cfg: QuadratureConfig
+):
+    """``L(s)``, ``W(s) / mean`` and ``D_d(s)`` for every ``d`` in ``delays``.
 
-    Integrates over z = (log lam - mu)/sigma so the lam -> 0 singularity
-    disappears and no tail truncation of lam is needed.  Batched over
-    ``s``.  With ``decrement=d`` the factor ``(1 - exp(-d*lam))`` is
-    included, which is how difference quantities keep relative accuracy.
+    ``D_d(s) = E[exp(-s*lam) * (1 - exp(-d*lam))]`` is the drop
+    ``L(s) - L(s + d)`` formed without cancellation.  All components come
+    from one adaptive integral over ``z = (log lam - mu) / sigma``, so the
+    ``lam -> 0`` singularity disappears and no tail truncation of ``lam``
+    is needed.  ``W`` is integrated divided by the mean, which keeps every
+    component at most 1 and lets one absolute floor serve them all.
+    Returns arrays of shapes ``(ns,)``, ``(ns,)`` and ``(ns, len(delays))``.
     """
-    s = np.atleast_1d(np.asarray(s, dtype=float))
+    ns, m = s.size, delays.size
+    log_mean = mu + 0.5 * sigma**2
 
     def integrand(z: np.ndarray) -> np.ndarray:
         log_lam = mu + sigma * z
         lam = np.exp(log_lam)
-        log_phi = -0.5 * z * z - _LOG_SQRT_2PI
-        expo = -np.outer(lam, s) + log_phi[:, None]
-        if weighted:
-            expo += log_lam[:, None]
-        vals = np.exp(expo)
-        if decrement is not None:
-            vals *= -np.expm1(-decrement * lam)[:, None]
-        return vals
+        expo = -np.outer(lam, s) + (-0.5 * z * z - _LOG_SQRT_2PI)[:, None]
+        plain = np.exp(expo)
+        weighted = np.exp(expo + (log_lam - log_mean)[:, None])
+        drops = plain[:, :, None] * (-np.expm1(-np.outer(lam, delays)))[:, None, :]
+        return np.concatenate([plain, weighted, drops.reshape(z.size, ns * m)], axis=1)
 
     value, _ = _adaptive(integrand, _Z_EDGES, cfg)
-    return value
+    return value[:ns], value[ns : 2 * ns], value[2 * ns :].reshape(ns, m)
 
 
 def laplace(
@@ -463,47 +458,53 @@ class TplTransform:
 
 
 class LogNormalTransform:
-    """Numeric transform of a log-normal rate distribution."""
+    """Numeric transform of a log-normal rate distribution.
+
+    :meth:`log_rows` is the fused evaluation: ``log W``, ``log L`` and the
+    log-decrement for every delay of a grid come from a single inner
+    adaptive integral per batch of points (see :func:`_lognormal_expect`).
+    The fork-rate engine calls it once per outer integrand evaluation; the
+    single-quantity methods are views of it.
+    """
 
     def __init__(self, mu: float, sigma: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
         LogNormal(mu, sigma)  # parameter validation
         self.mu = mu
         self.sigma = sigma
         # inner integrals must be tighter than the outer quadrature that
-        # consumes them; the absolute floors (relative to each transform's
-        # maximum: 1 for L, the mean for W) let deep-tail evaluations that
-        # underflowed to nothing terminate instead of chasing relative
-        # accuracy of denormals
-        rel = 0.1 * cfg.rel_tol
-        subs = cfg.max_subdivisions
-        self._cfg_plain = QuadratureConfig(rel, 1e-18, subs)
-        self._cfg_weighted = QuadratureConfig(
-            rel, 1e-18 * math.exp(mu + 0.5 * sigma**2), subs
+        # consumes them; the absolute floor (relative to each component's
+        # maximum, 1: W is integrated over its mean) lets deep-tail
+        # evaluations that underflowed to nothing terminate instead of
+        # chasing relative accuracy of denormals
+        self._cfg_inner = QuadratureConfig(0.1 * cfg.rel_tol, 1e-18, cfg.max_subdivisions)
+
+    def log_rows(self, s: np.ndarray, delays: Sequence[float]):
+        """``(log W, log L, log-decrements)`` at ``s``; decrements gain a last delay axis."""
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        delays = np.asarray(delays, dtype=float).reshape(-1)
+        plain, weighted, drops = _lognormal_expect(
+            self.mu, self.sigma, s, delays, self._cfg_inner
         )
+        plain_col = plain[:, None]
+        # quadrature noise on underflowed tails could push the ratio a hair
+        # outside [0, 1]; both clips are harmless (term drops out), as is
+        # the zero ratio where L itself underflowed
+        ratio = np.divide(drops, plain_col, out=np.zeros_like(drops), where=plain_col > 0)
+        with np.errstate(divide="ignore"):
+            return (
+                np.log(weighted) + (self.mu + 0.5 * self.sigma**2),
+                np.log(plain),
+                np.log1p(-np.clip(ratio, 0.0, 1.0)),
+            )
 
     def log_laplace(self, s: np.ndarray) -> np.ndarray:
-        vals = _lognormal_expect(self.mu, self.sigma, s, self._cfg_plain)
-        with np.errstate(divide="ignore"):
-            return np.log(vals)
+        return self.log_rows(s, ())[1]
 
     def log_laplace_weighted(self, s: np.ndarray) -> np.ndarray:
-        vals = _lognormal_expect(
-            self.mu, self.sigma, s, self._cfg_weighted, weighted=True
-        )
-        with np.errstate(divide="ignore"):
-            return np.log(vals)
+        return self.log_rows(s, ())[0]
 
     def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
-        if d == 0.0:
-            return np.zeros_like(np.atleast_1d(np.asarray(s, dtype=float)))
-        base = _lognormal_expect(self.mu, self.sigma, s, self._cfg_plain)
-        diff = _lognormal_expect(
-            self.mu, self.sigma, s, self._cfg_plain, decrement=d
-        )
-        # quadrature noise on underflowed tails could push the ratio a hair
-        # outside [0, 1]; both clips are harmless (term drops out)
-        with np.errstate(divide="ignore"):
-            return np.log1p(-np.clip(diff / base, 0.0, 1.0))
+        return self.log_rows(s, (d,))[2][:, 0]
 
     def mean(self) -> float:
         return math.exp(self.mu + 0.5 * self.sigma**2)

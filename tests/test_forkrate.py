@@ -7,11 +7,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
-from forkcast.errors import DegenerateHHI, DegenerateMinerSet, InvalidDelay, ShareSumViolation
+from forkcast import quadrature
+from forkcast.errors import (
+    DegenerateHHI,
+    DegenerateMinerSet,
+    InvalidDelay,
+    InvalidModel,
+    ShareSumViolation,
+)
 from forkcast.forkrate import (
     _excluding_row_sums,
     conditional_fork_rate,
     fork_rate,
+    fork_rate_curve,
     fork_rate_iid,
     fork_rate_inid,
     fork_rate_semi_empirical,
@@ -26,11 +34,13 @@ from forkcast.model import (
     BlockCounts,
     Fixed,
     IIDNull,
+    INIDNull,
     MinerSet,
     SemiEmpiricalIID,
     SemiEmpiricalINID,
 )
 from forkcast.quadrature import (
+    DEFAULT_CONFIG,
     Exponential,
     LogNormal,
     PointMassTransform,
@@ -347,6 +357,92 @@ class TestDelayValidation:
             implied_hhi(bad, 0.0017, 2.0)
 
 
+def _curve_models():
+    counts = BlockCounts([400, 250, 250, 90, 9, 1, 0])
+    gamma = 1.17647e7
+    return {
+        "exp": IIDNull(Exponential(2e4), 35),
+        "tpl": IIDNull(TruncatedPowerLaw(0.5, 1e4), 35),
+        "lognormal": IIDNull(LogNormal(-10.7, 1.27), 35),
+        "inid-mixed": INIDNull(
+            [Exponential(2e4), TruncatedPowerLaw(0.5, 1e4), LogNormal(-10.7, 1.2)]
+        ),
+        "semi-iid": SemiEmpiricalIID(counts, gamma),
+        "semi-inid": SemiEmpiricalINID(counts, gamma),
+        "fixed": Fixed(MinerSet([0.001, 0.0007, 0.0002])),
+    }
+
+
+CURVE_MODELS = _curve_models()
+CURVE_GRID = (1e-3, 0.815, 0.0, 9.0, 60.0)
+
+
+class TestForkRateCurve:
+    @pytest.mark.parametrize("name", sorted(CURVE_MODELS))
+    def test_equals_per_delay_fork_rate(self, name):
+        model = CURVE_MODELS[name]
+        curve = fork_rate_curve(model, CURVE_GRID)
+        assert len(curve) == len(CURVE_GRID)
+        for d0, res in zip(CURVE_GRID, curve):
+            single = fork_rate(model, d0)
+            assert (res.method, res.inputs_echo) == (single.method, single.inputs_echo)
+            # the curve refines every delay until all of them converge, so
+            # a small rate that a lone integral settles at the absolute
+            # floor comes out tighter: the two agree within their error
+            # estimates, and to 1e-12 wherever the relative tolerance rules
+            gap = abs(res.value - single.value)
+            assert gap <= res.error_estimate + single.error_estimate
+            if single.value * DEFAULT_CONFIG.rel_tol >= DEFAULT_CONFIG.abs_tol:
+                assert res.value == pytest.approx(single.value, rel=1e-12, abs=0.0)
+        assert curve[-1].value * DEFAULT_CONFIG.rel_tol >= DEFAULT_CONFIG.abs_tol
+
+    @pytest.mark.parametrize("name", sorted(CURVE_MODELS))
+    def test_zero_delay_in_grid_is_exactly_zero(self, name):
+        curve = fork_rate_curve(CURVE_MODELS[name], CURVE_GRID)
+        assert curve[CURVE_GRID.index(0.0)].value == 0.0
+        assert all(res.value > 0.0 for d0, res in zip(CURVE_GRID, curve) if d0 > 0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 1e-310])
+    @pytest.mark.parametrize("name", sorted(CURVE_MODELS))
+    def test_bad_delay_anywhere_rejected_before_integration(self, name, bad, monkeypatch):
+        def no_integration(*args):
+            pytest.fail("integration started before the delay grid was validated")
+
+        monkeypatch.setattr(quadrature, "_adaptive", no_integration)
+        with pytest.raises(InvalidDelay):
+            fork_rate_curve(CURVE_MODELS[name], (0.815, 2.0, bad))
+
+    def test_empty_grid_rejected(self):
+        with pytest.raises(ValueError, match="empty"):
+            fork_rate_curve(CURVE_MODELS["exp"], ())
+
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    def test_lognormal_one_inner_integral_per_outer_evaluation(self, m, monkeypatch):
+        # the first _adaptive call is the outer fork-rate integral; every
+        # later one is an inner transform integral
+        real = quadrature._adaptive
+        calls = {"outer_integrand": 0, "inner": 0, "outer_started": False}
+
+        def counting(f, edges, cfg):
+            if calls["outer_started"]:
+                calls["inner"] += 1
+                return real(f, edges, cfg)
+            calls["outer_started"] = True
+
+            def outer(t):
+                calls["outer_integrand"] += 1
+                return f(t)
+
+            return real(outer, edges, cfg)
+
+        monkeypatch.setattr(quadrature, "_adaptive", counting)
+        grid = np.geomspace(1e-3, 30.0, m)
+        curve = fork_rate_curve(IIDNull(LogNormal(-10.7, 1.27), 35), grid)
+        assert len(curve) == m
+        assert calls["outer_integrand"] > 0
+        assert calls["inner"] == calls["outer_integrand"]
+
+
 class TestDispatcher:
     def test_fixed_goes_conditional(self):
         res = fork_rate(Fixed(MinerSet([0.001, 0.001])), 100.0)
@@ -355,6 +451,42 @@ class TestDispatcher:
     def test_iid_null_dispatch(self):
         assert fork_rate(IIDNull(Exponential(2e4), 5), 1.0).method == "closed_form"
         assert fork_rate(IIDNull(LogNormal(-10.7, 1.27), 5), 1.0).method == "quadrature"
+
+
+class TestRateValidation:
+    def test_implied_hhi_tiny_rate_and_delay(self):
+        # formerly ZeroDivisionError: delta0 * lambda_total underflowed to 0
+        with pytest.raises(InvalidDelay, match="delta0 \\* lambda_total"):
+            implied_hhi(0.1, 1e-300, 1e-30)
+
+    def test_implied_delta0_subnormal_rate(self):
+        # formerly value=inf, valid=True
+        with pytest.raises(InvalidModel, match="lambda_total"):
+            implied_delta0(0.1, 1e-320, 0.5)
+
+    def test_implied_hhi_infinite_rate(self):
+        # formerly valid=True
+        with pytest.raises(InvalidModel, match="lambda_total"):
+            implied_hhi(0.1, math.inf, 1.0)
+
+    def test_implied_hhi_overflowing_product(self):
+        with pytest.raises(InvalidDelay, match="delta0 \\* lambda_total"):
+            implied_hhi(0.1, 1e300, 1e10)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, math.nan, math.inf, 1e-320])
+    def test_every_inversion_rejects(self, bad):
+        for call in (
+            lambda: implied_delta0(0.1, bad, 0.5),
+            lambda: implied_hhi(0.1, bad, 1.0),
+            lambda: taylor_fork_rate(bad, 0.2, 1.0),
+        ):
+            with pytest.raises(InvalidModel):
+                call()
+
+    def test_infinite_implied_delay_is_invalid(self):
+        # a normal rate times 1 - hhi can still be subnormal
+        res = implied_delta0(0.5, 2.3e-308, 1.0 - 1e-10)
+        assert res.value == math.inf and not res.valid
 
 
 class TestImplied:

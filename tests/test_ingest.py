@@ -2,6 +2,7 @@ import datetime as dt
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -32,6 +33,8 @@ from forkcast.ingest import (
     segment_periods,
 )
 from forkcast.synthetic import REFERENCE_BITS, REFERENCE_COUNTS, write_dataset
+
+from conftest import SUITE_SEED
 
 
 def make_blocks(n, start_height=0, t0=1672617600, spacing=600, bits=REFERENCE_BITS,
@@ -93,7 +96,70 @@ class TestBits:
             bits_to_expected_hashes(bits)
 
 
+def per_block_lambda(hashrate_series, blocks):
+    """The per-block definition of compute_lambda: one date and one
+    difficulty conversion per block."""
+    days = sorted(hashrate_series)
+    ratios = []
+    for block in blocks:
+        day = dt.datetime.fromtimestamp(block.timestamp, dt.timezone.utc).date()
+        earlier = [d for d in days if d <= day]
+        if not earlier:
+            raise EmptyPeriod(f"series starts after block day {day}")
+        ratios.append(hashrate_series[earlier[-1]] / bits_to_expected_hashes(block.bits))
+    return math.fsum(ratios) / len(ratios)
+
+
 class TestComputeLambda:
+    @pytest.mark.parametrize("stream", range(6))
+    def test_matches_per_block_reference(self, stream):
+        rng = np.random.default_rng([SUITE_SEED, stream])
+        midnight = 1672617600 + int(rng.integers(0, 400)) * 86400
+        # timestamps cluster on midnights (the last second of a day and the
+        # first of the next), with random ones in between
+        n = 3000
+        offsets = np.sort(rng.integers(0, 40 * 86400, n))
+        edges = rng.integers(1, 40, n // 10) * 86400 + rng.integers(-1, 1, n // 10)
+        stamps = np.sort(np.concatenate([offsets, edges])) + midnight
+        bits_pool = [REFERENCE_BITS, 0x1803A30C, 0x17053894, 0x1D00FFFF]
+        blocks = [
+            BlockRow(i, int(t), bits_pool[int(rng.integers(len(bits_pool)))], "m")
+            for i, t in enumerate(stamps)
+        ]
+        first = dt.date(2023, 1, 2) + dt.timedelta(days=(midnight - 1672617600) // 86400)
+        # a sparse series: most days fall back to an earlier date
+        series = {
+            first + dt.timedelta(days=int(k)): float(rng.uniform(1e18, 3e18))
+            for k in np.unique(np.concatenate([[0], rng.integers(1, 45, 12)]))
+        }
+        assert compute_lambda(series, blocks) == per_block_lambda(series, blocks)
+
+    def test_day_boundary_uses_each_days_rate(self):
+        midnight = 1672617600
+        blocks = [BlockRow(0, midnight - 1, REFERENCE_BITS, "m"),
+                  BlockRow(1, midnight, REFERENCE_BITS, "m")]
+        day = dt.date(2023, 1, 2)
+        series = {day - dt.timedelta(days=1): 1e18, day: 3e18}
+        difficulty = bits_to_expected_hashes(REFERENCE_BITS)
+        assert compute_lambda(series, blocks) == math.fsum(
+            [1e18 / difficulty, 3e18 / difficulty]
+        ) / 2
+
+    def test_falls_back_to_earlier_date(self):
+        blocks = make_blocks(4, t0=1672617600, spacing=86400)
+        series = {dt.date(2022, 12, 30): 2e18, dt.date(2023, 1, 4): 4e18}
+        assert compute_lambda(series, blocks) == per_block_lambda(series, blocks)
+        difficulty = bits_to_expected_hashes(REFERENCE_BITS)
+        # two blocks fall back to 2022-12-30, two are on or after 2023-01-04
+        assert compute_lambda(series, blocks) == pytest.approx(3e18 / difficulty, rel=1e-12)
+
+    def test_series_starting_after_a_later_block(self):
+        # the first day is covered, a block on the day before the series is not
+        blocks = [BlockRow(0, 1672617600, REFERENCE_BITS, "m"),
+                  BlockRow(1, 1672617600 - 1, REFERENCE_BITS, "m")]
+        with pytest.raises(EmptyPeriod, match="2023-01-01"):
+            compute_lambda({dt.date(2023, 1, 2): 1e18}, blocks)
+
     def test_constant_ratio(self):
         blocks = make_blocks(10)
         day = dt.datetime.fromtimestamp(blocks[0].timestamp, dt.timezone.utc).date()

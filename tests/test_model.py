@@ -127,6 +127,12 @@ class TestCharacteristicTime:
         with pytest.raises(ValueError):
             characteristic_time(1.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e-320, 0.0, -1.0])
+    def test_rejects_non_normal_rate(self, bad):
+        # characteristic_time(1.0, inf) formerly returned inf
+        with pytest.raises(InvalidModel, match="lambda_total"):
+            characteristic_time(1.0, bad)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, 1e-320])
     def test_rejects_non_finite_or_subnormal_delay(self, bad):
         # NaN formerly passed straight through as a NaN result

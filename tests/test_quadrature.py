@@ -323,3 +323,75 @@ class TestTransforms:
                 single = getattr(PosteriorTransform(b, gamma), method)(s, *args)
                 assert np.array_equal(row, single)
         assert np.array_equal(grouped.mean(), (1.0 + counts) / gamma)
+
+
+class TestLogNormalOracle:
+    """The fused lognormal evaluation against 30-digit ``mpmath`` integrals."""
+
+    S = (0.0, 1e2, 1e4, 1e6, 1e8)
+    DELAYS = (1e-6, 0.815, 9.0, 1e3)
+
+    @staticmethod
+    def reference_family():
+        from forkcast.estimate import fit_moments, method_of_moments
+        from forkcast.model import BlockCounts
+        from forkcast.synthetic import REFERENCE_COUNTS, REFERENCE_LAMBDA
+
+        moments = fit_moments(BlockCounts(REFERENCE_COUNTS), REFERENCE_LAMBDA)
+        return method_of_moments(moments, "lognormal")
+
+    def test_components_against_mpmath(self):
+        import mpmath
+
+        fam = self.reference_family()
+        tr = transform_for(fam)
+        log_w, log_l, dec = tr.log_rows(np.array(self.S), self.DELAYS)
+        with mpmath.workdps(30):
+            mu, sigma = mpmath.mpf(fam.mu), mpmath.mpf(fam.sigma)
+
+            def expect(s, factor, extra=()):
+                s = mpmath.mpf(s)
+
+                def f(z):
+                    lam = mpmath.exp(mu + sigma * z)
+                    return mpmath.npdf(z) * factor(lam) * mpmath.exp(-s * lam)
+
+                # break where s*lam and d*lam cross 1, so tanh-sinh sees
+                # each transition at a node boundary
+                knees = [(-mpmath.log(k) - mu) / sigma for k in (s, *extra) if k > 0]
+                edges = sorted({-40, -8, -2, 0, 2, 8, 40, *(float(k) for k in knees if -40 < k < 40)})
+                return mpmath.quad(f, edges)
+
+            for i, s in enumerate(self.S):
+                refs = [
+                    ("L", math.exp(log_l[i]), expect(s, lambda lam: 1), 1e-18),
+                    ("W", math.exp(log_w[i]), expect(s, lambda lam: lam), 1e-18 * fam.mean()),
+                ]
+                for j, d in enumerate(self.DELAYS):
+                    drop = expect(s, lambda lam: -mpmath.expm1(-d * lam), (d,))
+                    got = math.exp(log_l[i]) * -math.expm1(dec[i, j])
+                    refs.append((f"D_{d!r}", got, drop, 1e-18))
+                for name, got, ref, floor in refs:
+                    ref = float(ref)
+                    assert abs(got - ref) <= max(floor, 1e-10 * abs(ref)), (name, s)
+
+    def test_single_quantity_methods_are_views_of_the_fused_rows(self):
+        tr = transform_for(self.reference_family())
+        s = np.array([0.0, 1e3, 1e6])
+        log_w, log_l, dec = tr.log_rows(s, (0.815,))
+        assert np.array_equal(tr.log_laplace(s), log_l)
+        assert np.array_equal(tr.log_laplace_weighted(s), log_w)
+        assert np.array_equal(tr.log_laplace_decrement(s, 0.815), dec[:, 0])
+        assert np.array_equal(tr.log_laplace_decrement(s, 0.0), np.zeros(3))
+
+    def test_fork_rate_at_micro_delay_within_error_estimate(self):
+        # Reference from nested mpmath.quad at 20 digits (about 80 s):
+        #   L(x), W(x), D(x) = mpmath.quad over z in [-40, -8, -2, 0, 2, 8, 40] of
+        #     npdf(z) * {1, lam, -expm1(-d*lam)} * exp(-x*lam),  lam = exp(mu + sigma*z);
+        #   C = mpmath.quad over x in [0, c, 10c, 100c, inf], c = 1/(n*mean), of
+        #     n * W * L**(n-1) * -expm1((n-1) * log1p(-D/L)),
+        # with n = 35, d = 1e-6 and the reference family's mu and sigma.
+        from forkcast.forkrate import fork_rate_iid
+
+        res = fork_rate_iid(self.reference_family(), 35, 1e-6)
+        assert abs(res.value - 1.5082795646174628e-9) <= res.error_estimate
