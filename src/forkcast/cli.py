@@ -6,9 +6,9 @@ the machine interface, CSV the plot-data interface; nothing is rendered.
 Exit codes: 0 success, 2 input/parse problems, 3 numeric/fitting
 failures, 4 internal errors.  Every command is deterministic given its
 flags and input files (plus the seed where an RNG is involved).  Only
-``simulate`` runs on several threads (``--threads``, default from
-``FORKCAST_THREADS``); ``pipeline`` evaluates its periods in order on
-the calling thread.
+``simulate`` runs on several threads (``--threads``; the default 0
+takes ``FORKCAST_THREADS`` when it is set, else up to 8 by CPU count);
+``pipeline`` evaluates its periods in order on the calling thread.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -455,10 +454,6 @@ def cmd_pipeline(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _default_threads() -> int:
-    return int(os.environ.get("FORKCAST_THREADS", "0") or 0)
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="forkcast",
@@ -496,7 +491,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta0", type=float, required=True)
     p.add_argument("--rounds", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=_default_threads())
+    p.add_argument("--threads", type=int, default=0,
+                   help="worker threads; 0 (default) picks automatically")
     p.add_argument("--fixed-rates", action="store_true",
                    help="sample one rate vector per experiment instead of per round")
     p.set_defaults(func=cmd_simulate)

@@ -11,23 +11,17 @@ confidence bands on the fork-rate curve.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AllZero, DegenerateMinerSet, InvalidMoments
-from .forkrate import fork_rate_curve
-from .model import BlockCounts, IIDNull, MinerSet
-from .quadrature import (
-    DEFAULT_CONFIG,
-    Exponential,
-    LogNormal,
-    NullFamily,
-    QuadratureConfig,
-    TruncatedPowerLaw,
-)
+from .errors import AllZero, DegenerateMinerSet, InvalidModel, InvalidMoments
+from .forkrate import _delay_grid, fork_rate_curve
+from .model import BlockCounts, IIDNull, MinerSet, check_rate
+from .quadrature import Exponential, LogNormal, NullFamily, TruncatedPowerLaw
 
 __all__ = [
     "MomentPair",
@@ -88,6 +82,19 @@ class ConfidenceBand:
     percentiles: tuple[float, float]
 
 
+def _check_variances(lambda_total: float, *variances: float) -> None:
+    """Raise :class:`InvalidModel` unless every variance is a positive normal float.
+
+    Callers pass variances that must not vanish.  They scale with powers of
+    ``lambda_total``, so one that underflowed or overflowed would otherwise
+    come back as a silent 0 or infinity.
+    """
+    if not all(sys.float_info.min <= v < math.inf for v in variances):
+        raise InvalidModel(
+            f"lambda_total={lambda_total!r} puts a rate variance out of the float range"
+        )
+
+
 def estimate_hash_rates(counts: BlockCounts, lambda_total: float) -> MinerSet:
     """Frequentist conversion ``b_i * lambda_total / B``.
 
@@ -96,8 +103,7 @@ def estimate_hash_rates(counts: BlockCounts, lambda_total: float) -> MinerSet:
     the total is zero, so the surviving rates still sum to lambda_total.
     Zero-miner scenarios belong to the semi-empirical posterior models.
     """
-    if not (lambda_total > 0):
-        raise ValueError(f"lambda_total must be > 0, got {lambda_total}")
+    check_rate(lambda_total)
     if counts.total < 1:
         raise AllZero("every block count is zero")
     dropped = sum(1 for c in counts.counts if c == 0)
@@ -115,12 +121,15 @@ def fit_moments(counts: BlockCounts, lambda_total: float) -> MomentPair:
 
     ``m = lambda_total / N`` exactly; ``s`` uses the N-1 divisor.
     """
-    if not (lambda_total > 0):
-        raise ValueError(f"lambda_total must be > 0, got {lambda_total}")
+    check_rate(lambda_total)
     if counts.n < 2:
         raise DegenerateMinerSet(f"moment fit needs >= 2 miners, got {counts.n}")
     rates = np.asarray(counts.counts, dtype=float) * (lambda_total / counts.total)
-    return MomentPair(m=lambda_total / counts.n, s=float(np.std(rates, ddof=1)))
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        s = float(np.std(rates, ddof=1))
+    if len(set(counts.counts)) > 1:
+        _check_variances(lambda_total, s * s)
+    return MomentPair(m=lambda_total / counts.n, s=s)
 
 
 def method_of_moments(mp: MomentPair, family_kind: str) -> NullFamily:
@@ -152,18 +161,22 @@ def estimator_uncertainty(
     counts: BlockCounts, lambda_total: float
 ) -> EstimatorUncertainty:
     """Propagate multinomial count noise into the moment estimators."""
-    if not (lambda_total > 0):
-        raise ValueError(f"lambda_total must be > 0, got {lambda_total}")
+    check_rate(lambda_total)
     b_total = counts.total
     n = counts.n
     p_hat = [c / b_total for c in counts.counts]
     var_p = [p * (1.0 - p) / b_total for p in p_hat]
-    var_m = lambda_total**2 / n**2 * math.fsum(var_p)
-    var_s2 = (
-        2.0 * lambda_total**4 / (n * (n - 1)) * math.fsum(v * v for v in var_p)
-        if n > 1
-        else 0.0
-    )
+    try:
+        var_m = lambda_total**2 / n**2 * math.fsum(var_p)
+        var_s2 = (
+            2.0 * lambda_total**4 / (n * (n - 1)) * math.fsum(v * v for v in var_p)
+            if n > 1
+            else 0.0
+        )
+    except OverflowError:  # a power of lambda_total beyond the float range
+        var_m = var_s2 = math.inf
+    if any(var_p):
+        _check_variances(lambda_total, var_m, var_s2)
     return EstimatorUncertainty(
         p_hat=tuple(p_hat), var_p=tuple(var_p), var_m=var_m, var_s2=var_s2
     )
@@ -181,7 +194,6 @@ def confidence_band(
     n_samples: int,
     percentiles: tuple[float, float] = (5.0, 95.0),
     seed: int = 0,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
 ) -> ConfidenceBand:
     """Percentile band of fork-rate curves under (m, s^2) sampling noise.
 
@@ -196,9 +208,7 @@ def confidence_band(
     low, high = percentiles
     if not (0.0 < low < high < 100.0):
         raise ValueError(f"percentiles must satisfy 0 < low < high < 100, got {percentiles}")
-    grid = [float(d) for d in delta0_grid]
-    if not grid or any(d < 0 for d in grid):
-        raise ValueError("delta0 grid must be non-empty and non-negative")
+    grid, _ = _delay_grid(float(d) for d in delta0_grid)
 
     mp = fit_moments(counts, lambda_total)
     unc = estimator_uncertainty(counts, lambda_total)
@@ -229,21 +239,17 @@ def confidence_band(
         try:
             family = method_of_moments(MomentPair(m_draw, s_draw), family_kind)
         except InvalidMoments:
-            family = None
-        if family is None:
             curves[row] = np.nan
             continue
-        curves[row] = [res.value for res in fork_rate_curve(IIDNull(family, n), grid, cfg)]
-    if np.isnan(curves).any():
-        keep = ~np.isnan(curves).any(axis=1)
-        curves = curves[keep]
+        curves[row] = [res.value for res in fork_rate_curve(IIDNull(family, n), grid)]
+    curves = curves[~np.isnan(curves).any(axis=1)]
 
     point_family = method_of_moments(mp, family_kind)
-    point = [res.value for res in fork_rate_curve(IIDNull(point_family, n), grid, cfg)]
+    point = [res.value for res in fork_rate_curve(IIDNull(point_family, n), grid)]
     lower = np.percentile(curves, low, axis=0)
     upper = np.percentile(curves, high, axis=0)
     return ConfidenceBand(
-        delta0_grid=tuple(grid),
+        delta0_grid=grid,
         lower=tuple(float(v) for v in lower),
         point=tuple(point),
         upper=tuple(float(v) for v in upper),

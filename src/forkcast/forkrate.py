@@ -22,6 +22,11 @@ primitive is a fork-rate *curve*: :func:`fork_rate_curve` integrates a
 whole delay grid as one vector-valued integral, evaluating ``W`` and ``L``
 once per point, and returns one result with its own error estimate per
 delay.  The single-delay entry points are curves of one delay.
+
+Every quadrature fork rate is one population integral over rows of
+transforms with multiplicities (n i.i.d. miners are one row of
+multiplicity n).  The Gamma-form families keep the reduced closed-form
+integrand, which ``method='auto'`` prefers.
 """
 
 from __future__ import annotations
@@ -55,14 +60,11 @@ from .model import (
 from .quadrature import (
     DEFAULT_CONFIG,
     Exponential,
-    LogNormal,
     NullFamily,
     PosteriorTransform,
-    QuadratureConfig,
     TruncatedPowerLaw,
     _integrate_semi_infinite,
     posterior_mixture,
-    transform_for,
 )
 
 __all__ = [
@@ -177,20 +179,18 @@ def taylor_fork_rate(lambda_total: float, hhi_value: float, delta0: float) -> Fo
 # ---------------------------------------------------------------------------
 
 
-def _result(raw, err, cfg: QuadratureConfig, method: str, echo: str) -> ForkRateResult:
-    """Clamp quadrature noise just outside [0, 1]; reject larger excursions."""
-    value, slack = float(raw), 10.0 * cfg.rel_tol
-    if value < -slack or value > 1.0 + slack:
-        raise NonConvergent(f"fork rate {value!r} leaves [0, 1] beyond tolerance")
-    return ForkRateResult(min(max(value, 0.0), 1.0), method, float(err), echo)
+def _curve(raw, err, method: str, echo: str, delays) -> list[ForkRateResult]:
+    """One result per delay, ``echo`` completed with the delay.
 
-
-def _curve(raw, err, cfg: QuadratureConfig, method: str, echo: str, delays):
-    """One :func:`_result` per delay; ``echo`` is completed with each delay."""
-    return [
-        _result(raw[i], err[i], cfg, method, f"{echo}, delta0={d!r}")
-        for i, d in enumerate(delays)
-    ]
+    Quadrature noise just outside [0, 1] is clamped; larger excursions are rejected.
+    """
+    slack, results = 10.0 * DEFAULT_CONFIG.rel_tol, []
+    for value, error, d in zip(raw.tolist(), err.tolist(), delays):
+        if value < -slack or value > 1.0 + slack:
+            raise NonConvergent(f"fork rate {value!r} leaves [0, 1] beyond tolerance")
+        clamped = min(max(value, 0.0), 1.0)
+        results.append(ForkRateResult(clamped, method, error, f"{echo}, delta0={d!r}"))
+    return results
 
 
 def _delay_grid(delays) -> tuple[tuple, np.ndarray]:
@@ -218,17 +218,6 @@ def _log_rows(t, x: np.ndarray, delays: np.ndarray):
     return t.log_laplace_weighted(x), t.log_laplace(x), dec
 
 
-def _iid_positive_integral(transform, n: int, delays: np.ndarray, cfg: QuadratureConfig):
-    """C(d) = n * integral W(x) L(x)^(n-1) (-expm1((n-1) * dec(x, d))) dx, all d at once."""
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        log_w, log_l, dec = _log_rows(transform, x, delays)
-        return (n * np.exp(log_w + (n - 1) * log_l))[:, None] * (-np.expm1((n - 1) * dec))
-
-    scale = 1.0 / (n * transform.mean())
-    return _integrate_semi_infinite(integrand, cfg, scale=scale)
-
-
 def _excluding_row_sums(rows: np.ndarray, mult: np.ndarray) -> np.ndarray:
     """``sum_h mult[h] * rows[h] - rows[g]`` for each group g, -inf safe.
 
@@ -246,12 +235,13 @@ def _excluding_row_sums(rows: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return np.where(keeps_inf, -np.inf, out)
 
 
-def _inid_positive_integral(transforms, mult, delays: np.ndarray, cfg: QuadratureConfig):
+def _population_integral(transforms, mult, delays: np.ndarray):
     """C(d) = integral sum_i W_i(x) prod_{j!=i} L_j(x) (-expm1(sum_{j!=i} dec_j)) dx.
 
     Each transform yields one row, or a block of rows when array-valued;
-    stacked, row g stands for ``mult[g]`` identical miners.  All delays
-    are integrated at once.
+    stacked, row g stands for ``mult[g]`` identical miners, so n i.i.d.
+    miners are one row of multiplicity n.  All delays are integrated at
+    once.
     """
     means = np.concatenate([np.atleast_1d(t.mean()) for t in transforms])
     scale = 1.0 / math.fsum((mult * means).tolist())
@@ -267,10 +257,10 @@ def _inid_positive_integral(transforms, mult, delays: np.ndarray, cfg: Quadratur
         terms = (mult * np.exp(log_w + rest_l))[:, :, None] * (-np.expm1(rest_dec))
         return np.sum(terms, axis=0)
 
-    return _integrate_semi_infinite(integrand, cfg, scale=scale)
+    return _integrate_semi_infinite(integrand, scale=scale)
 
 
-def _closed_form_integral(family, n: int, delays: np.ndarray, cfg: QuadratureConfig):
+def _closed_form_integral(family, n: int, delays: np.ndarray):
     """Reduced integrand for exponential / truncated-power-law families.
 
     For a Gamma-form family with shape k and rate b the no-fork integrand
@@ -278,8 +268,7 @@ def _closed_form_integral(family, n: int, delays: np.ndarray, cfg: QuadratureCon
     rate is its difference against the ``d = 0`` normalization, folded into
     one ``expm1`` factor.  All delays are integrated at once.
     """
-    gamma_form = transform_for(family)
-    k, b = gamma_form.shape, gamma_form.beta
+    k, b = family.shape, family.beta
     log_pref = math.log(n) + math.log(k) + n * k * math.log(b)
 
     def integrand(x: np.ndarray) -> np.ndarray:
@@ -288,10 +277,10 @@ def _closed_form_integral(family, n: int, delays: np.ndarray, cfg: QuadratureCon
         bracket = -np.expm1(-(n - 1) * k * np.log1p(delays / (b + x)[:, None]))
         return base[:, None] * bracket
 
-    return _integrate_semi_infinite(integrand, cfg, scale=b / n)
+    return _integrate_semi_infinite(integrand, scale=b / n)
 
 
-def _iid_curve(family: NullFamily, n: int, delays, cfg: QuadratureConfig, method: str):
+def _iid_curve(family: NullFamily, n: int, delays, method: str):
     _require_competition(n)
     delays, grid = _delay_grid(delays)
     has_closed_form = isinstance(family, (Exponential, TruncatedPowerLaw))
@@ -300,51 +289,15 @@ def _iid_curve(family: NullFamily, n: int, delays, cfg: QuadratureConfig, method
     if method == "closed_form":
         if not has_closed_form:
             raise ValueError(f"no closed form for {type(family).__name__}")
-        raw, err = _closed_form_integral(family, n, grid, cfg)
+        raw, err = _closed_form_integral(family, n, grid)
     elif method == "quadrature":
-        raw, err = _iid_positive_integral(transform_for(family, cfg), n, grid, cfg)
+        raw, err = _population_integral([family], [n], grid)
     else:
         raise ValueError(f"unknown method {method!r}")
-    return _curve(raw, err, cfg, method, f"iid {family!r}, n={n}", delays)
+    return _curve(raw, err, method, f"iid {family!r}, n={n}", delays)
 
 
-def _inid_curve(members: Sequence, delays, cfg: QuadratureConfig):
-    _require_competition(len(members))
-    delays, grid = _delay_grid(delays)
-    transforms = [
-        transform_for(m, cfg)
-        if isinstance(m, (Exponential, LogNormal, TruncatedPowerLaw))
-        else m
-        for m in members
-    ]
-    raw, err = _inid_positive_integral(transforms, np.ones(len(transforms)), grid, cfg)
-    return _curve(raw, err, cfg, "quadrature", f"inid, n={len(members)}", delays)
-
-
-def _semi_empirical_curve(
-    model: SemiEmpiricalIID | SemiEmpiricalINID, delays, cfg: QuadratureConfig
-):
-    _require_competition(model.counts.n)
-    delays, grid = _delay_grid(delays)
-    gamma = model.gamma
-    if isinstance(model, SemiEmpiricalIID):
-        mixture = posterior_mixture(model.counts.counts, gamma)
-        raw, err = _iid_positive_integral(mixture, model.counts.n, grid, cfg)
-        detail = "iid mixture"
-    else:
-        blocks, mult = np.unique(model.counts.counts, return_counts=True)
-        post = PosteriorTransform(blocks, gamma)
-        raw, err = _inid_positive_integral([post], mult, grid, cfg)
-        detail = "inid per-miner"
-    echo = f"semi-empirical {detail}, n={model.counts.n}, gamma={gamma!r}"
-    return _curve(raw, err, cfg, "semi_empirical", echo, delays)
-
-
-def fork_rate_curve(
-    model: HashRateModel,
-    delays: Sequence[float],
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> list[ForkRateResult]:
+def fork_rate_curve(model: HashRateModel, delays: Sequence[float]) -> list[ForkRateResult]:
     """Fork rates of one model over a delay grid, one result per delay.
 
     Every delay is validated before any integration.  The quadrature
@@ -357,21 +310,30 @@ def fork_rate_curve(
         delays, _ = _delay_grid(delays)
         return [conditional_fork_rate(model.miners, d) for d in delays]
     if isinstance(model, IIDNull):
-        return _iid_curve(model.family, model.n, delays, cfg, "auto")
+        return _iid_curve(model.family, model.n, delays, "auto")
     if isinstance(model, INIDNull):
-        return _inid_curve(model.families, delays, cfg)
-    if isinstance(model, (SemiEmpiricalIID, SemiEmpiricalINID)):
-        return _semi_empirical_curve(model, delays, cfg)
-    raise TypeError(f"unknown hash-rate model {model!r}")
+        n = len(model.families)
+        transforms, mult = model.families, np.ones(n)
+        method, echo = "quadrature", f"inid, n={n}"
+    elif isinstance(model, (SemiEmpiricalIID, SemiEmpiricalINID)):
+        n, gamma = model.counts.n, model.gamma
+        if isinstance(model, SemiEmpiricalIID):
+            transforms, mult = [posterior_mixture(model.counts.counts, gamma)], [n]
+            detail = "iid mixture"
+        else:
+            blocks, mult = np.unique(model.counts.counts, return_counts=True)
+            transforms, detail = [PosteriorTransform(blocks, gamma)], "inid per-miner"
+        method, echo = "semi_empirical", f"semi-empirical {detail}, n={n}, gamma={gamma!r}"
+    else:
+        raise TypeError(f"unknown hash-rate model {model!r}")
+    _require_competition(n)
+    delays, grid = _delay_grid(delays)
+    raw, err = _population_integral(transforms, mult, grid)
+    return _curve(raw, err, method, echo, delays)
 
 
 def fork_rate_iid(
-    family: NullFamily,
-    n: int,
-    delta0: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-    *,
-    method: str = "auto",
+    family: NullFamily, n: int, delta0: float, *, method: str = "auto"
 ) -> ForkRateResult:
     """Unconditional fork rate for n miners with i.i.d. rates.
 
@@ -379,26 +341,23 @@ def fork_rate_iid(
     exists (exponential, truncated power law) and generic transform
     quadrature otherwise; ``method='quadrature'`` forces the generic path.
     """
-    return _iid_curve(family, n, (delta0,), cfg, method)[0]
+    return _iid_curve(family, n, (delta0,), method)[0]
 
 
-def fork_rate_inid(
-    members: Sequence,
-    delta0: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> ForkRateResult:
+def fork_rate_inid(members: Sequence, delta0: float) -> ForkRateResult:
     """Unconditional fork rate for independent, non-identical miners.
 
     ``members`` may mix null families, per-miner posterior transforms,
-    point masses, or anything exposing the log-transform interface.
+    point masses, or anything exposing the log-transform interface
+    (``log_laplace``, ``log_laplace_weighted``, ``log_laplace_decrement``
+    and ``mean``).
     """
-    return _inid_curve(members, (delta0,), cfg)[0]
+    _require_competition(len(members))
+    return fork_rate_curve(INIDNull(members), (delta0,))[0]
 
 
 def fork_rate_semi_empirical(
-    model: SemiEmpiricalIID | SemiEmpiricalINID,
-    delta0: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
+    model: SemiEmpiricalIID | SemiEmpiricalINID, delta0: float
 ) -> ForkRateResult:
     """Fork rate under block-count posteriors.
 
@@ -407,16 +366,12 @@ def fork_rate_semi_empirical(
     one posterior transform per distinct block count, and miners that
     share a count enter through its multiplicity.
     """
-    return _semi_empirical_curve(model, (delta0,), cfg)[0]
+    return fork_rate_curve(model, (delta0,))[0]
 
 
-def fork_rate(
-    model: HashRateModel,
-    delta0: float,
-    cfg: QuadratureConfig = DEFAULT_CONFIG,
-) -> ForkRateResult:
+def fork_rate(model: HashRateModel, delta0: float) -> ForkRateResult:
     """Dispatch to the natural method for the given hash-rate model."""
-    return fork_rate_curve(model, (delta0,), cfg)[0]
+    return fork_rate_curve(model, (delta0,))[0]
 
 
 # ---------------------------------------------------------------------------

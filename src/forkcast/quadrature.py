@@ -12,8 +12,11 @@ This module provides
 * an adaptive Gauss-Kronrod (G7/K15) integrator on finite intervals and,
   through the substitution ``x = scale * t / (1 - t)``, on ``(0, inf)``;
 * the three null hash-rate families (exponential, log-normal, truncated
-  power law) with densities, samplers and closed-form or numeric
-  transforms;
+  power law) with densities, samplers and their own log-domain
+  transforms: the exponential and the truncated power law share one
+  closed Gamma form, the log-normal evaluates ``L``, ``W`` and the
+  decrements of a whole delay grid in one inner integral.  A family is
+  its own transform; there is no separate transform class or factory;
 * the block-count posterior transform, evaluated for a whole miner
   population at once: the population is held as its distinct block
   counts plus a multiplicity for each, so the semi-empirical fork-rate
@@ -52,12 +55,9 @@ __all__ = [
     "laplace_weighted",
     "posterior_laplace",
     "posterior_laplace_weighted",
-    "LogNormalTransform",
-    "TplTransform",
     "PointMassTransform",
     "PosteriorTransform",
     "MixtureTransform",
-    "transform_for",
     "posterior_mixture",
 ]
 
@@ -231,19 +231,45 @@ def integrate_semi_infinite(
 
 
 # ---------------------------------------------------------------------------
-# Null hash-rate families
+# Null hash-rate families and their log-domain transforms
 # ---------------------------------------------------------------------------
 
 
+class _GammaForm:
+    """Log-domain transforms of a Gamma law with ``shape`` and rate ``beta``.
+
+    Shared by the exponential (shape 1, where multiplying by the shape is
+    exact and ``log(1) == 0``) and the truncated power law.
+    """
+
+    def log_laplace(self, s: np.ndarray) -> np.ndarray:
+        return self.shape * (math.log(self.beta) - np.log(self.beta + s))
+
+    def log_laplace_weighted(self, s: np.ndarray) -> np.ndarray:
+        return (
+            math.log(self.shape)
+            + self.shape * math.log(self.beta)
+            - (self.shape + 1.0) * np.log(self.beta + s)
+        )
+
+    def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
+        return -self.shape * np.log1p(d / (self.beta + s))
+
+
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_GammaForm):
     """Exponential hash-rate family with rate parameter ``rate`` (= 1/mean)."""
 
     rate: float
+    shape = 1.0  # the Gamma form of an exponential; not a dataclass field
 
     def __post_init__(self):
         if not (self.rate > 0 and math.isfinite(self.rate)):
             raise InvalidFamily(f"Exponential needs rate > 0, got {self.rate}")
+
+    @property
+    def beta(self) -> float:
+        return self.rate
 
     def density(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -259,9 +285,29 @@ class Exponential:
         return rng.exponential(1.0 / self.rate, size=size)
 
 
+# Standard-normal quadrature window: phi(z) underflows to zero well before
+# |z| = 40, so the truncation error is below double precision.
+_Z_EDGES = (-40.0, -8.0, -2.0, 0.0, 2.0, 8.0, 40.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+
+# Inner log-normal integrals must be tighter than the outer quadrature that
+# consumes them.  The absolute floor (relative to each component's maximum,
+# 1: W is integrated over its mean) lets deep-tail evaluations that
+# underflowed to nothing terminate instead of chasing relative accuracy of
+# denormals.
+_LOGNORMAL_INNER = QuadratureConfig(
+    0.1 * DEFAULT_CONFIG.rel_tol, 1e-18, DEFAULT_CONFIG.max_subdivisions
+)
+
+
 @dataclass(frozen=True)
 class LogNormal:
-    """Log-normal hash-rate family: log(lam) ~ Normal(mu, sigma^2)."""
+    """Log-normal hash-rate family: log(lam) ~ Normal(mu, sigma^2).
+
+    Its transforms have no closed form.  :meth:`log_rows` is the fused
+    evaluation the fork-rate engine calls once per outer integrand
+    evaluation; the single-quantity methods are views of it.
+    """
 
     mu: float
     sigma: float
@@ -291,9 +337,63 @@ class LogNormal:
     def sample(self, rng: np.random.Generator, size) -> np.ndarray:
         return rng.lognormal(self.mu, self.sigma, size=size)
 
+    def log_rows(self, s: np.ndarray, delays: Sequence[float]):
+        """``(log W, log L, log-decrements)`` at ``s``; decrements gain a last delay axis.
+
+        ``L(s)``, ``W(s) / mean`` and ``D_d(s) = E[exp(-s*lam) * (1 -
+        exp(-d*lam))]`` for every ``d`` (the drop ``L(s) - L(s + d)``
+        formed without cancellation) come from one adaptive integral over
+        ``z = (log lam - mu) / sigma``, so the ``lam -> 0`` singularity
+        disappears and no tail truncation of ``lam`` is needed.  ``W`` is
+        integrated divided by the mean, which keeps every component at
+        most 1 and lets one absolute floor serve them all.
+        """
+        s = np.atleast_1d(np.asarray(s, dtype=float))
+        delays = np.asarray(delays, dtype=float).reshape(-1)
+        ns, m = s.size, delays.size
+        log_mean = self.mu + 0.5 * self.sigma**2
+
+        def integrand(z: np.ndarray) -> np.ndarray:
+            log_lam = self.mu + self.sigma * z
+            lam = np.exp(log_lam)
+            expo = -np.outer(lam, s) + (-0.5 * z * z - _LOG_SQRT_2PI)[:, None]
+            plain = np.exp(expo)
+            weighted = np.exp(expo + (log_lam - log_mean)[:, None])
+            drops = plain[:, :, None] * (-np.expm1(-np.outer(lam, delays)))[:, None, :]
+            return np.concatenate([plain, weighted, drops.reshape(z.size, ns * m)], axis=1)
+
+        value, _ = _adaptive(integrand, _Z_EDGES, _LOGNORMAL_INNER)
+        plain, weighted = value[:ns], value[ns : 2 * ns]
+        drops = value[2 * ns :].reshape(ns, m)
+        plain_col = plain[:, None]
+        # quadrature noise on underflowed tails could push the ratio a hair
+        # outside [0, 1]; both clips are harmless (term drops out), as is
+        # the zero ratio where L itself underflowed
+        ratio = np.divide(drops, plain_col, out=np.zeros_like(drops), where=plain_col > 0)
+        with np.errstate(divide="ignore"):
+            return (
+                np.log(weighted) + log_mean,
+                np.log(plain),
+                np.log1p(-np.clip(ratio, 0.0, 1.0)),
+            )
+
+    def log_laplace(self, s: np.ndarray) -> np.ndarray:
+        return self.log_rows(s, ())[1]
+
+    def log_laplace_weighted(self, s: np.ndarray) -> np.ndarray:
+        return self.log_rows(s, ())[0]
+
+    def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
+        return self.log_rows(s, (d,))[2][:, 0]
+
+
+# The benchmark probe (``perfbench/probe.py``) constructs
+# ``LogNormalTransform(mu, sigma)``; the family is its own transform.
+LogNormalTransform = LogNormal
+
 
 @dataclass(frozen=True)
-class TruncatedPowerLaw:
+class TruncatedPowerLaw(_GammaForm):
     """Power law with exponential cutoff: density ~ lam^-alpha * exp(-beta*lam).
 
     Equivalent to a Gamma distribution with shape ``1 - alpha`` and rate
@@ -338,61 +438,18 @@ class TruncatedPowerLaw:
 NullFamily = Union[Exponential, LogNormal, TruncatedPowerLaw]
 
 
-# ---------------------------------------------------------------------------
-# Laplace transforms of the families
-# ---------------------------------------------------------------------------
-
-# Standard-normal quadrature window: phi(z) underflows to zero well before
-# |z| = 40, so the truncation error is below double precision.
-_Z_EDGES = (-40.0, -8.0, -2.0, 0.0, 2.0, 8.0, 40.0)
-_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
-
-
-def _lognormal_expect(
-    mu: float, sigma: float, s: np.ndarray, delays: np.ndarray, cfg: QuadratureConfig
-):
-    """``L(s)``, ``W(s) / mean`` and ``D_d(s)`` for every ``d`` in ``delays``.
-
-    ``D_d(s) = E[exp(-s*lam) * (1 - exp(-d*lam))]`` is the drop
-    ``L(s) - L(s + d)`` formed without cancellation.  All components come
-    from one adaptive integral over ``z = (log lam - mu) / sigma``, so the
-    ``lam -> 0`` singularity disappears and no tail truncation of ``lam``
-    is needed.  ``W`` is integrated divided by the mean, which keeps every
-    component at most 1 and lets one absolute floor serve them all.
-    Returns arrays of shapes ``(ns,)``, ``(ns,)`` and ``(ns, len(delays))``.
-    """
-    ns, m = s.size, delays.size
-    log_mean = mu + 0.5 * sigma**2
-
-    def integrand(z: np.ndarray) -> np.ndarray:
-        log_lam = mu + sigma * z
-        lam = np.exp(log_lam)
-        expo = -np.outer(lam, s) + (-0.5 * z * z - _LOG_SQRT_2PI)[:, None]
-        plain = np.exp(expo)
-        weighted = np.exp(expo + (log_lam - log_mean)[:, None])
-        drops = plain[:, :, None] * (-np.expm1(-np.outer(lam, delays)))[:, None, :]
-        return np.concatenate([plain, weighted, drops.reshape(z.size, ns * m)], axis=1)
-
-    value, _ = _adaptive(integrand, _Z_EDGES, cfg)
-    return value[:ns], value[ns : 2 * ns], value[2 * ns :].reshape(ns, m)
-
-
-def laplace(
-    family: NullFamily, s: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
-    """E[exp(-s*lam)] for the family; closed form except for the log-normal."""
+def laplace(family, s: float) -> float:
+    """E[exp(-s*lam)] of a family or transform; numeric only for the log-normal."""
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    return np.exp(transform_for(family, cfg).log_laplace(s)).item()
+    return np.exp(family.log_laplace(s)).item()
 
 
-def laplace_weighted(
-    family: NullFamily, s: float, cfg: QuadratureConfig = DEFAULT_CONFIG
-) -> float:
+def laplace_weighted(family, s: float) -> float:
     """E[lam * exp(-s*lam)]; equals -d/ds of :func:`laplace`."""
     if s < 0:
         raise ValueError(f"s must be >= 0, got {s}")
-    return np.exp(transform_for(family, cfg).log_laplace_weighted(s)).item()
+    return np.exp(family.log_laplace_weighted(s)).item()
 
 
 # ---------------------------------------------------------------------------
@@ -410,104 +467,17 @@ def laplace_weighted(
 
 def posterior_laplace(b: float, gamma: float, s: float) -> float:
     """E[exp(-s*lam)] under the block-count posterior; value in (0, 1]."""
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    return np.exp(PosteriorTransform(b, gamma).log_laplace(s)).item()
+    return laplace(PosteriorTransform(b, gamma), s)
 
 
 def posterior_laplace_weighted(b: float, gamma: float, s: float) -> float:
     """E[lam * exp(-s*lam)] under the block-count posterior."""
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
-    return np.exp(PosteriorTransform(b, gamma).log_laplace_weighted(s)).item()
+    return laplace_weighted(PosteriorTransform(b, gamma), s)
 
 
 # ---------------------------------------------------------------------------
-# Vectorized log-domain transforms for the fork-rate engine
+# Point-mass, posterior and mixture transforms for the fork-rate engine
 # ---------------------------------------------------------------------------
-
-
-class TplTransform:
-    """Log-domain transform of a truncated power law (Gamma form).
-
-    ``alpha = 0`` is the exponential family: shape 1 multiplies exactly
-    and ``log(1) == 0``, so no separate exponential transform is needed.
-    """
-
-    def __init__(self, alpha: float, beta: float):
-        fam = TruncatedPowerLaw(alpha, beta)  # parameter validation
-        self.alpha = fam.alpha
-        self.beta = fam.beta
-        self.shape = fam.shape
-
-    def log_laplace(self, s: np.ndarray) -> np.ndarray:
-        return self.shape * (math.log(self.beta) - np.log(self.beta + s))
-
-    def log_laplace_weighted(self, s: np.ndarray) -> np.ndarray:
-        return (
-            math.log(self.shape)
-            + self.shape * math.log(self.beta)
-            - (self.shape + 1.0) * np.log(self.beta + s)
-        )
-
-    def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
-        return -self.shape * np.log1p(d / (self.beta + s))
-
-    def mean(self) -> float:
-        return self.shape / self.beta
-
-
-class LogNormalTransform:
-    """Numeric transform of a log-normal rate distribution.
-
-    :meth:`log_rows` is the fused evaluation: ``log W``, ``log L`` and the
-    log-decrement for every delay of a grid come from a single inner
-    adaptive integral per batch of points (see :func:`_lognormal_expect`).
-    The fork-rate engine calls it once per outer integrand evaluation; the
-    single-quantity methods are views of it.
-    """
-
-    def __init__(self, mu: float, sigma: float, cfg: QuadratureConfig = DEFAULT_CONFIG):
-        LogNormal(mu, sigma)  # parameter validation
-        self.mu = mu
-        self.sigma = sigma
-        # inner integrals must be tighter than the outer quadrature that
-        # consumes them; the absolute floor (relative to each component's
-        # maximum, 1: W is integrated over its mean) lets deep-tail
-        # evaluations that underflowed to nothing terminate instead of
-        # chasing relative accuracy of denormals
-        self._cfg_inner = QuadratureConfig(0.1 * cfg.rel_tol, 1e-18, cfg.max_subdivisions)
-
-    def log_rows(self, s: np.ndarray, delays: Sequence[float]):
-        """``(log W, log L, log-decrements)`` at ``s``; decrements gain a last delay axis."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        delays = np.asarray(delays, dtype=float).reshape(-1)
-        plain, weighted, drops = _lognormal_expect(
-            self.mu, self.sigma, s, delays, self._cfg_inner
-        )
-        plain_col = plain[:, None]
-        # quadrature noise on underflowed tails could push the ratio a hair
-        # outside [0, 1]; both clips are harmless (term drops out), as is
-        # the zero ratio where L itself underflowed
-        ratio = np.divide(drops, plain_col, out=np.zeros_like(drops), where=plain_col > 0)
-        with np.errstate(divide="ignore"):
-            return (
-                np.log(weighted) + (self.mu + 0.5 * self.sigma**2),
-                np.log(plain),
-                np.log1p(-np.clip(ratio, 0.0, 1.0)),
-            )
-
-    def log_laplace(self, s: np.ndarray) -> np.ndarray:
-        return self.log_rows(s, ())[1]
-
-    def log_laplace_weighted(self, s: np.ndarray) -> np.ndarray:
-        return self.log_rows(s, ())[0]
-
-    def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
-        return self.log_rows(s, (d,))[2][:, 0]
-
-    def mean(self) -> float:
-        return math.exp(self.mu + 0.5 * self.sigma**2)
 
 
 class PointMassTransform:
@@ -599,28 +569,26 @@ class MixtureTransform:
     def log_laplace_weighted(self, s: np.ndarray) -> np.ndarray:
         return _logsumexp(self.components.log_laplace_weighted(s) + self.log_weights)
 
-    def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
+    def log_rows(self, s: np.ndarray, delays: Sequence[float]):
+        """``(log W, log L, log-decrements)`` at ``s``; decrements gain a last delay axis.
+
+        The components' plain transform is evaluated once for all delays.
+        """
         log_l = self.components.log_laplace(s) + self.log_weights
-        dec = self.components.log_laplace_decrement(s, d)
-        m = np.max(log_l, axis=0)
-        a = np.exp(log_l - m)
-        drop = np.sum(a * (-np.expm1(dec)), axis=0)
+        a = np.exp(log_l - np.max(log_l, axis=0))
         total = np.sum(a, axis=0)
-        return np.log1p(-drop / total)
+        drops = [
+            np.sum(a * -np.expm1(self.components.log_laplace_decrement(s, d)), axis=0)
+            for d in delays
+        ]
+        log_dec = np.log1p(-np.stack(drops, axis=-1) / total[..., None])
+        return self.log_laplace_weighted(s), _logsumexp(log_l), log_dec
+
+    def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
+        return self.log_rows(s, (d,))[2][..., 0]
 
     def mean(self) -> float:
         return float(np.sum(np.exp(self.log_weights[:, 0]) * self.components.mean()))
-
-
-def transform_for(family: NullFamily, cfg: QuadratureConfig = DEFAULT_CONFIG):
-    """Build the log-domain transform backing a null family."""
-    if isinstance(family, Exponential):
-        return TplTransform(0.0, family.rate)
-    if isinstance(family, TruncatedPowerLaw):
-        return TplTransform(family.alpha, family.beta)
-    if isinstance(family, LogNormal):
-        return LogNormalTransform(family.mu, family.sigma, cfg)
-    raise InvalidFamily(f"unknown family {family!r}")
 
 
 def posterior_mixture(counts: Sequence[int], gamma: float) -> MixtureTransform:

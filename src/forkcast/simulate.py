@@ -5,8 +5,9 @@ exponential solve time per miner, and declares a fork when the gap between
 the two fastest solve times is strictly below the propagation delay.
 
 Reproducibility contract: rounds are partitioned into fixed-size chunks
-and chunk ``k`` draws from an independent counter-based stream derived
-from ``(seed, k)`` (Philox, jumped).  Partial results are reduced in chunk
+(sized by the miner count, so the arrays of one chunk stay bounded) and
+chunk ``k`` draws from an independent counter-based stream derived from
+``(seed, k)`` (Philox, jumped).  Partial results are reduced in chunk
 order, so the outcome is bit-identical for any thread count.
 """
 
@@ -33,6 +34,7 @@ from .model import (
 __all__ = ["SimConfig", "SimOutcome", "simulate_fork_rate", "simulate_min_time"]
 
 CHUNK_ROUNDS = 1 << 16
+CHUNK_ELEMENTS = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -93,6 +95,16 @@ def _sample_posterior(
     if blocks == 0:
         return rng.gamma(0.5, 2.0 / gamma, size=size)
     return 1.0 / rng.wald(gamma / blocks, gamma, size=size)
+
+
+def _chunk_rounds(n: int) -> int:
+    """Rounds per chunk for ``n`` miners: at most ``CHUNK_ELEMENTS`` per array.
+
+    The size depends on the model only, never on the thread count, so the
+    chunk partition (and with it every result) is the same for any number
+    of threads.  Up to 64 miners a chunk is the full ``CHUNK_ROUNDS``.
+    """
+    return min(CHUNK_ROUNDS, max(1, CHUNK_ELEMENTS // n))
 
 
 def _model_width(model: HashRateModel) -> int:
@@ -162,7 +174,8 @@ def _run_chunk(
 def simulate_fork_rate(cfg: SimConfig) -> SimOutcome:
     """Run the experiment; deterministic for fixed (model, delta0, rounds, seed)."""
     model = cfg.model
-    if _model_width(model) < 2:
+    width = _model_width(model)
+    if width < 2:
         raise InvalidModel("simulation needs >= 2 miners")
 
     fixed_rates: np.ndarray | None = None
@@ -173,10 +186,9 @@ def simulate_fork_rate(cfg: SimConfig) -> SimOutcome:
         if not np.all(np.isfinite(fixed_rates)) or np.any(fixed_rates <= 0):
             raise InvalidModel("sampled a non-positive or non-finite hash rate")
 
-    n_chunks = (cfg.rounds + CHUNK_ROUNDS - 1) // CHUNK_ROUNDS
-    sizes = [
-        min(CHUNK_ROUNDS, cfg.rounds - i * CHUNK_ROUNDS) for i in range(n_chunks)
-    ]
+    step = _chunk_rounds(width)
+    n_chunks = (cfg.rounds + step - 1) // step
+    sizes = [min(step, cfg.rounds - i * step) for i in range(n_chunks)]
 
     def job(i: int) -> tuple[int, float]:
         return _run_chunk(model, cfg.delta0, cfg.seed, i, sizes[i], fixed_rates)

@@ -1,7 +1,6 @@
 import pytest
 
 from forkcast.model import BlockCounts
-from forkcast.quadrature import QuadratureConfig
 from forkcast.synthetic import REFERENCE_COUNTS, REFERENCE_LAMBDA, write_dataset
 
 # one seed pins every stochastic check in the suite; outcomes are
@@ -29,9 +28,3 @@ def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
     write_dataset(out, periods=3)
     return out
-
-
-@pytest.fixture()
-def loose_cfg() -> QuadratureConfig:
-    """Cheaper tolerances for tests that sweep many evaluations."""
-    return QuadratureConfig(rel_tol=1e-7, abs_tol=1e-10, max_subdivisions=1000)

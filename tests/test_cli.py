@@ -325,10 +325,26 @@ class TestParserBasics:
         assert exc.value.code == 2
 
     def test_env_threads_default(self, monkeypatch):
-        monkeypatch.setenv("FORKCAST_THREADS", "3")
+        # --threads defaults to 0 (automatic); the simulator alone reads
+        # FORKCAST_THREADS and sizes its pool from it
+        import forkcast.simulate as simulate
         from forkcast.cli import build_parser
 
         args = build_parser().parse_args(
             ["simulate", "--model", "x", "--delta0", "1", "--rounds", "1", "--seed", "1"]
         )
-        assert args.threads == 3
+        assert args.threads == 0
+
+        workers = []
+        real_pool = simulate.ThreadPoolExecutor
+
+        def recording_pool(max_workers):
+            workers.append(max_workers)
+            return real_pool(max_workers=max_workers)
+
+        monkeypatch.setenv("FORKCAST_THREADS", "3")
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
+        rounds = 2 * simulate.CHUNK_ROUNDS + 1  # three chunks at two miners
+        cfg = simulate.SimConfig(Fixed(MinerSet([0.001, 0.002])), 1.0, rounds, seed=1)
+        simulate.simulate_fork_rate(cfg)
+        assert workers == [3]

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from forkcast.errors import DegenerateMinerSet, InvalidMoments
+from forkcast import estimate
+from forkcast.errors import DegenerateMinerSet, InvalidDelay, InvalidModel, InvalidMoments
 from forkcast.estimate import (
     MomentPair,
     add_zero_miners,
@@ -16,7 +17,7 @@ from forkcast.estimate import (
 )
 from forkcast.forkrate import fork_rate_iid, hhi, hhi_from_counts
 from forkcast.model import BlockCounts
-from forkcast.quadrature import Exponential, LogNormal, QuadratureConfig, TruncatedPowerLaw
+from forkcast.quadrature import Exponential, LogNormal, TruncatedPowerLaw
 
 from conftest import SUITE_SEED
 
@@ -136,8 +137,50 @@ class TestEstimatorUncertainty:
         assert unc.var_s2 == pytest.approx(var_s2, rel=1e-12)
 
 
+class TestLambdaTotalValidation:
+    """``lambda_total`` is checked where it enters the estimators."""
+
+    def test_fit_moments_rejects_subnormal(self, reference_counts):
+        with pytest.raises(InvalidModel, match="lambda_total"):
+            fit_moments(reference_counts, 1e-320)
+
+    def test_fit_moments_rejects_infinite(self, reference_counts):
+        with pytest.raises(InvalidModel, match="lambda_total"):
+            fit_moments(reference_counts, math.inf)
+
+    def test_estimate_hash_rates_rejects_subnormal(self, reference_counts):
+        with pytest.raises(InvalidModel, match="lambda_total"):
+            estimate_hash_rates(reference_counts, 1e-320)
+
+    def test_uncertainty_rejects_infinite(self, reference_counts):
+        with pytest.raises(InvalidModel, match="lambda_total"):
+            estimator_uncertainty(reference_counts, math.inf)
+
+    def test_uncertainty_rejects_underflowing_variance(self, reference_counts):
+        # lambda_total is a normal float, but var_s2 ~ lambda_total**4 underflows
+        with pytest.raises(InvalidModel, match="lambda_total"):
+            estimator_uncertainty(reference_counts, 1e-200)
+
+    @pytest.mark.parametrize("lam", [1e-200, 1e160])
+    def test_fit_moments_rejects_unrepresentable_spread(self, reference_counts, lam):
+        # the rate variance s**2 underflows (1e-200) or overflows (1e160)
+        with pytest.raises(InvalidModel, match="lambda_total"):
+            fit_moments(reference_counts, lam)
+
+    def test_representable_extremes_pass(self, reference_counts):
+        unc = estimator_uncertainty(reference_counts, 1e-70)
+        assert unc.var_s2 > 0 and unc.var_m > 0
+        assert fit_moments(BlockCounts([5, 5, 5]), 1e-200).s == 0.0
+
+    @pytest.mark.parametrize("lam", [0.0, -1e-3, math.nan])
+    def test_every_estimator_rejects(self, reference_counts, lam):
+        for call in (estimate_hash_rates, fit_moments, estimator_uncertainty):
+            with pytest.raises(InvalidModel, match="lambda_total"):
+                call(reference_counts, lam)
+
+
 class TestConfidenceBand:
-    def test_deterministic_and_bracketing(self, reference_counts, reference_lambda, loose_cfg):
+    def test_deterministic_and_bracketing(self, reference_counts, reference_lambda):
         kwargs = dict(
             counts=reference_counts,
             lambda_total=reference_lambda,
@@ -145,20 +188,19 @@ class TestConfidenceBand:
             delta0_grid=(0.5, 2.0),
             n_samples=100,
             seed=SUITE_SEED,
-            cfg=loose_cfg,
         )
         band = confidence_band(**kwargs)
         assert band == confidence_band(**kwargs)
         for lo, pt, up in zip(band.lower, band.point, band.upper):
             assert lo <= pt <= up
 
-    def test_band_narrows_with_more_blocks(self, loose_cfg):
+    def test_band_narrows_with_more_blocks(self):
         base = [600, 250, 100, 50]
         widths = []
         for scale in (1, 2):
             counts = BlockCounts([c * scale for c in base])
             band = confidence_band(
-                counts, 0.0017, "exp", (1.0,), 150, seed=SUITE_SEED, cfg=loose_cfg
+                counts, 0.0017, "exp", (1.0,), 150, seed=SUITE_SEED
             )
             widths.append(band.upper[0] - band.lower[0])
         assert widths[1] < widths[0]
@@ -172,7 +214,18 @@ class TestConfidenceBand:
                 percentiles=(95.0, 5.0),
             )
 
-    def test_coverage_on_synthetic_truth(self, loose_cfg):
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, 1e-310, math.inf])
+    def test_bad_delay_rejected_before_any_draw(
+        self, reference_counts, reference_lambda, bad, monkeypatch
+    ):
+        def no_fit(*args):
+            pytest.fail("the band started fitting before the grid was validated")
+
+        monkeypatch.setattr(estimate, "fit_moments", no_fit)
+        with pytest.raises(InvalidDelay):
+            confidence_band(reference_counts, reference_lambda, "exp", (0.5, bad), 100)
+
+    def test_coverage_on_synthetic_truth(self):
         # rates drawn from a known exponential market, counts multinomial
         # on the realized shares; the band quantifies exactly that count
         # noise, so it should cover the curve implied by the realized
@@ -186,10 +239,10 @@ class TestConfidenceBand:
             rates = true_family.sample(rng, n)
             lam = float(rates.sum())
             target_family = Exponential(n / lam)  # fit at the true sample mean
-            target_c = [fork_rate_iid(target_family, n, d, loose_cfg).value for d in grid]
+            target_c = [fork_rate_iid(target_family, n, d).value for d in grid]
             counts = BlockCounts(rng.multinomial(b_total, rates / lam))
             band = confidence_band(
-                counts, lam, "exp", grid, 100, seed=SUITE_SEED, cfg=loose_cfg
+                counts, lam, "exp", grid, 100, seed=SUITE_SEED
             )
             for j in range(len(grid)):
                 total += 1

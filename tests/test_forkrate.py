@@ -443,6 +443,65 @@ class TestForkRateCurve:
         assert calls["inner"] == calls["outer_integrand"]
 
 
+def _reference_family(kind):
+    from forkcast.estimate import fit_moments, method_of_moments
+    from forkcast.synthetic import REFERENCE_COUNTS, REFERENCE_LAMBDA
+
+    moments = fit_moments(BlockCounts(REFERENCE_COUNTS), REFERENCE_LAMBDA)
+    return method_of_moments(moments, kind)
+
+
+class TestPopulationIntegral:
+    """I.i.d. quadrature is one population row of multiplicity n."""
+
+    @pytest.mark.parametrize(
+        "kind, n, delays",
+        [
+            ("exp", 2, (1e-3, 0.815, 2.0, 9.0)),
+            ("exp", 5, (1e-3, 0.815, 2.0, 9.0)),
+            ("exp", 35, (1e-3, 0.815, 2.0, 9.0)),
+            ("tpl", 2, (1e-3, 0.815, 2.0, 9.0)),
+            ("tpl", 5, (1e-3, 0.815, 2.0, 9.0)),
+            ("tpl", 35, (1e-3, 0.815, 2.0, 9.0)),
+            ("lognormal", 2, (1e-3, 0.815, 9.0)),
+            ("lognormal", 5, (1e-3, 0.815, 9.0)),
+            ("lognormal", 35, (2.0,)),  # about 1 s per delay: 35 inner integrals per point
+        ],
+    )
+    def test_one_group_equals_n_explicit_rows(self, kind, n, delays):
+        family = _reference_family(kind)
+        for d0 in delays:
+            grouped = fork_rate_iid(family, n, d0, method="quadrature")
+            rows = fork_rate_inid([family] * n, d0)
+            assert grouped.value == pytest.approx(rows.value, rel=1e-13, abs=0.0)
+
+    @pytest.mark.parametrize("m", [1, 3, 7])
+    def test_mixture_components_evaluated_once_per_integrand_call(self, m, monkeypatch):
+        calls = {"integrand": 0, "components": 0}
+        real_segment = quadrature._gk_segment
+        real_log_laplace = PosteriorTransform.log_laplace
+
+        def segment(f, a, b):
+            def counted(x):
+                calls["integrand"] += 1
+                return f(x)
+
+            return real_segment(counted, a, b)
+
+        def log_laplace(self, s):
+            calls["components"] += 1
+            return real_log_laplace(self, s)
+
+        monkeypatch.setattr(quadrature, "_gk_segment", segment)
+        monkeypatch.setattr(PosteriorTransform, "log_laplace", log_laplace)
+        counts = BlockCounts([600, 250, 100, 50, 50, 0, 0, 1])
+        grid = np.geomspace(1e-3, 30.0, m)
+        curve = fork_rate_curve(SemiEmpiricalIID(counts, 1.2e7), grid)
+        assert len(curve) == m
+        assert calls["integrand"] > 0
+        assert calls["components"] == calls["integrand"]
+
+
 class TestDispatcher:
     def test_fixed_goes_conditional(self):
         res = fork_rate(Fixed(MinerSet([0.001, 0.001])), 100.0)

@@ -21,7 +21,6 @@ from forkcast.quadrature import (
     posterior_laplace,
     posterior_laplace_weighted,
     posterior_mixture,
-    transform_for,
 )
 
 
@@ -259,7 +258,7 @@ class TestTransforms:
         [Exponential(2.0e4), LogNormal(-10.7, 1.27), TruncatedPowerLaw(0.75, 5000.0)],
     )
     def test_log_transforms_match_linear(self, family):
-        tr = transform_for(family)
+        tr = family
         s = np.array([0.0, 0.5, 50.0, 5e4])
         for si, ll, lw in zip(s, tr.log_laplace(s), tr.log_laplace_weighted(s)):
             assert math.exp(ll) == pytest.approx(laplace(family, si), rel=1e-8)
@@ -270,7 +269,7 @@ class TestTransforms:
         [Exponential(2.0e4), LogNormal(-10.7, 1.27), TruncatedPowerLaw(0.75, 5000.0)],
     )
     def test_decrement_matches_log_difference(self, family):
-        tr = transform_for(family)
+        tr = family
         s = np.array([0.0, 1.0, 100.0])
         d = 7.0
         dec = tr.log_laplace_decrement(s, d)
@@ -309,6 +308,38 @@ class TestTransforms:
             w_over_l = np.exp(mix.log_laplace_weighted(s) - mix.log_laplace(s))
             assert np.allclose(dec, -d * w_over_l, rtol=1e-3)
 
+    @pytest.mark.parametrize("rate", [1e-3, 2.0e4, 20588.235294117647])
+    def test_exponential_is_the_alpha_zero_power_law(self, rate):
+        exp, tpl = Exponential(rate), TruncatedPowerLaw(0.0, rate)
+        s = np.array([0.0, 1e-3, 0.5, 50.0, 5e4, 1e9])
+        assert np.array_equal(exp.log_laplace(s), tpl.log_laplace(s))
+        assert np.array_equal(exp.log_laplace_weighted(s), tpl.log_laplace_weighted(s))
+        for d in (1e-6, 0.815, 9.0):
+            assert np.array_equal(
+                exp.log_laplace_decrement(s, d), tpl.log_laplace_decrement(s, d)
+            )
+        assert exp.mean() == tpl.mean()
+
+    def test_mixture_rows_equal_single_quantity_formulas(self):
+        # reference: the mixture decrement formed one delay at a time
+        gamma = 1.17647e7
+        s = np.array([0.0, 1.0, 500.0, 1e5])
+        delays = (1e-4, 0.815, 9.0)
+        for counts in ((0, 5, 50), (1, 1, 1, 100, 6000, 6000, 0)):
+            mix = posterior_mixture(counts, gamma)
+            log_w, log_l, dec = mix.log_rows(s, delays)
+            assert np.array_equal(log_w, mix.log_laplace_weighted(s))
+            assert np.array_equal(log_l, mix.log_laplace(s))
+            assert dec.shape == (s.size, len(delays))
+            comp_l = mix.components.log_laplace(s) + mix.log_weights
+            a = np.exp(comp_l - np.max(comp_l, axis=0))
+            for j, d in enumerate(delays):
+                comp_dec = mix.components.log_laplace_decrement(s, d)
+                drop = np.sum(a * (-np.expm1(comp_dec)), axis=0)
+                expected = np.log1p(-drop / np.sum(a, axis=0))
+                assert np.array_equal(dec[:, j], expected)
+                assert np.array_equal(mix.log_laplace_decrement(s, d), expected)
+
     def test_posterior_transform_broadcasts_over_counts(self):
         gamma = 9500.0
         counts = np.array([0.0, 3.0, 12.0])
@@ -344,7 +375,7 @@ class TestLogNormalOracle:
         import mpmath
 
         fam = self.reference_family()
-        tr = transform_for(fam)
+        tr = fam
         log_w, log_l, dec = tr.log_rows(np.array(self.S), self.DELAYS)
         with mpmath.workdps(30):
             mu, sigma = mpmath.mpf(fam.mu), mpmath.mpf(fam.sigma)
@@ -376,7 +407,7 @@ class TestLogNormalOracle:
                     assert abs(got - ref) <= max(floor, 1e-10 * abs(ref)), (name, s)
 
     def test_single_quantity_methods_are_views_of_the_fused_rows(self):
-        tr = transform_for(self.reference_family())
+        tr = self.reference_family()
         s = np.array([0.0, 1e3, 1e6])
         log_w, log_l, dec = tr.log_rows(s, (0.815,))
         assert np.array_equal(tr.log_laplace(s), log_l)

@@ -7,7 +7,14 @@ from forkcast.errors import InvalidModel
 from forkcast.forkrate import fork_rate_iid
 from forkcast.model import BlockCounts, Fixed, IIDNull, MinerSet, SemiEmpiricalINID
 from forkcast.quadrature import Exponential, LogNormal, TruncatedPowerLaw
-from forkcast.simulate import SimConfig, simulate_fork_rate, simulate_min_time
+from forkcast.simulate import (
+    CHUNK_ELEMENTS,
+    CHUNK_ROUNDS,
+    SimConfig,
+    _chunk_rounds,
+    simulate_fork_rate,
+    simulate_min_time,
+)
 
 from conftest import SUITE_SEED
 
@@ -105,6 +112,30 @@ class TestMinTime:
         se = sd / math.sqrt(n)
         assert abs(a - b) <= 6 * se
         assert a == pytest.approx(20000.0 / 9, rel=0.01)
+
+
+class TestChunkSize:
+    def test_full_chunks_up_to_64_miners(self):
+        assert [_chunk_rounds(n) for n in (2, 35, 64)] == [CHUNK_ROUNDS] * 3
+
+    @pytest.mark.parametrize("n", [65, 100, 10**4, 10**6, CHUNK_ELEMENTS])
+    def test_chunk_arrays_bounded_by_element_count(self, n):
+        rounds = _chunk_rounds(n)
+        assert rounds == CHUNK_ELEMENTS // n < CHUNK_ROUNDS
+        assert rounds * n <= CHUNK_ELEMENTS
+
+    def test_at_least_one_round(self):
+        assert _chunk_rounds(CHUNK_ELEMENTS + 1) == 1
+
+    def test_thread_invariant_where_chunks_shrink(self):
+        model = IIDNull(Exponential(20000.0), 100)
+        rounds = 100_000  # three chunks of at most 41,943 rounds
+        assert _chunk_rounds(100) == 41_943
+        one, two = (
+            simulate_fork_rate(SimConfig(model, 2.0, rounds, seed=7, threads=t))
+            for t in (1, 2)
+        )
+        assert one == two
 
 
 class TestValidation:
