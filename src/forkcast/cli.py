@@ -34,6 +34,7 @@ from .forkrate import (
     conditional_fork_rate,
     fork_rate,
     fork_rate_curve,
+    fork_rate_iid,
     hhi_from_counts,
     implied_delta0,
     implied_hhi,
@@ -200,26 +201,23 @@ def _resolve_forkrate_model(args) -> HashRateModel:
 
 def cmd_forkrate(args) -> int:
     model = _resolve_forkrate_model(args)
+    fixed = isinstance(model, Fixed)
+    if args.method in ("conditional", "taylor") and not fixed:
+        raise ForkcastError(f"--method {args.method} needs a fixed-rate model")
+    if args.method == "quadrature" and fixed:
+        raise ForkcastError("--method quadrature needs a distributional model")
     deltas = [float(d) for d in args.delta0.split(",") if d.strip() != ""]
     rows = []
     for d0 in deltas:
-        if args.method == "auto":
-            res = fork_rate(model, d0)
-        elif args.method == "conditional":
-            if not isinstance(model, Fixed):
-                raise ForkcastError("--method conditional needs a fixed-rate model")
+        if args.method == "conditional":
             res = conditional_fork_rate(model.miners, d0)
         elif args.method == "taylor":
-            if not isinstance(model, Fixed):
-                raise ForkcastError("--method taylor needs a fixed-rate model")
-            miners = model.miners
-            res = taylor_fork_rate(miners.total, hhi_from_counts(miners), d0)
-        elif args.method == "quadrature":
-            if isinstance(model, Fixed):
-                raise ForkcastError("--method quadrature needs a distributional model")
+            res = taylor_fork_rate(model.miners.total, hhi_from_counts(model.miners), d0)
+        elif args.method == "quadrature" and isinstance(model, IIDNull):
+            # the generic path, not the closed form that auto prefers
+            res = fork_rate_iid(model.family, model.n, d0, method="quadrature")
+        else:
             res = fork_rate(model, d0)
-        else:  # pragma: no cover - argparse restricts choices
-            raise ForkcastError(f"unknown method {args.method!r}")
         rows.append((d0, res))
     out = sys.stdout
     out.write("delta0,fork_rate,error_estimate,method\n")

@@ -23,10 +23,11 @@ whole delay grid as one vector-valued integral, evaluating ``W`` and ``L``
 once per point, and returns one result with its own error estimate per
 delay.  The single-delay entry points are curves of one delay.
 
-Every quadrature fork rate is one population integral over rows of
-transforms with multiplicities (n i.i.d. miners are one row of
-multiplicity n).  The Gamma-form families keep the reduced closed-form
-integrand, which ``method='auto'`` prefers.
+Every quadrature fork rate is one population integral over the rows of
+transforms and multiplicities that :func:`.model.population` gives (n
+i.i.d. or n equal independent miners are one row of multiplicity n).
+The Gamma-form families keep the reduced closed-form integrand, which
+``method='auto'`` prefers.
 """
 
 from __future__ import annotations
@@ -56,15 +57,14 @@ from .model import (
     SemiEmpiricalINID,
     check_delay,
     check_rate,
+    population,
 )
 from .quadrature import (
     DEFAULT_CONFIG,
     Exponential,
     NullFamily,
-    PosteriorTransform,
     TruncatedPowerLaw,
     _integrate_semi_infinite,
-    posterior_mixture,
 )
 
 __all__ = [
@@ -238,10 +238,8 @@ def _excluding_row_sums(rows: np.ndarray, mult: np.ndarray) -> np.ndarray:
 def _population_integral(transforms, mult, delays: np.ndarray):
     """C(d) = integral sum_i W_i(x) prod_{j!=i} L_j(x) (-expm1(sum_{j!=i} dec_j)) dx.
 
-    Each transform yields one row, or a block of rows when array-valued;
-    stacked, row g stands for ``mult[g]`` identical miners, so n i.i.d.
-    miners are one row of multiplicity n.  All delays are integrated at
-    once.
+    ``transforms`` and ``mult`` are a population (:func:`.model.population`):
+    row g stands for ``mult[g]`` miners.  All delays are integrated at once.
     """
     means = np.concatenate([np.atleast_1d(t.mean()) for t in transforms])
     scale = 1.0 / math.fsum((mult * means).tolist())
@@ -300,36 +298,27 @@ def _iid_curve(family: NullFamily, n: int, delays, method: str):
 def fork_rate_curve(model: HashRateModel, delays: Sequence[float]) -> list[ForkRateResult]:
     """Fork rates of one model over a delay grid, one result per delay.
 
-    Every delay is validated before any integration.  The quadrature
-    methods integrate the whole grid as one vector-valued integral: the
-    transforms ``W`` and ``L`` do not depend on the delay and are
-    evaluated once per point, each delay keeps its own error estimate.
-    Fixed rates use the closed-form conditional rate at each delay.
+    Every delay is validated before any integration.  Fixed rates use the
+    conditional closed form, i.i.d. models :func:`fork_rate_iid`; every
+    other model is one population integral over the whole grid, which
+    evaluates ``W`` and ``L`` once per point and keeps one error estimate
+    per delay.
     """
     if isinstance(model, Fixed):
         delays, _ = _delay_grid(delays)
         return [conditional_fork_rate(model.miners, d) for d in delays]
     if isinstance(model, IIDNull):
         return _iid_curve(model.family, model.n, delays, "auto")
-    if isinstance(model, INIDNull):
-        n = len(model.families)
-        transforms, mult = model.families, np.ones(n)
-        method, echo = "quadrature", f"inid, n={n}"
-    elif isinstance(model, (SemiEmpiricalIID, SemiEmpiricalINID)):
-        n, gamma = model.counts.n, model.gamma
-        if isinstance(model, SemiEmpiricalIID):
-            transforms, mult = [posterior_mixture(model.counts.counts, gamma)], [n]
-            detail = "iid mixture"
-        else:
-            blocks, mult = np.unique(model.counts.counts, return_counts=True)
-            transforms, detail = [PosteriorTransform(blocks, gamma)], "inid per-miner"
-        method, echo = "semi_empirical", f"semi-empirical {detail}, n={n}, gamma={gamma!r}"
-    else:
-        raise TypeError(f"unknown hash-rate model {model!r}")
+    transforms, mult = population(model)
+    n = int(np.sum(mult))
     _require_competition(n)
     delays, grid = _delay_grid(delays)
     raw, err = _population_integral(transforms, mult, grid)
-    return _curve(raw, err, method, echo, delays)
+    if isinstance(model, INIDNull):
+        return _curve(raw, err, "quadrature", f"inid, n={n}", delays)
+    detail = "iid mixture" if isinstance(model, SemiEmpiricalIID) else "inid per-miner"
+    echo = f"semi-empirical {detail}, n={n}, gamma={model.gamma!r}"
+    return _curve(raw, err, "semi_empirical", echo, delays)
 
 
 def fork_rate_iid(
@@ -345,13 +334,7 @@ def fork_rate_iid(
 
 
 def fork_rate_inid(members: Sequence, delta0: float) -> ForkRateResult:
-    """Unconditional fork rate for independent, non-identical miners.
-
-    ``members`` may mix null families, per-miner posterior transforms,
-    point masses, or anything exposing the log-transform interface
-    (``log_laplace``, ``log_laplace_weighted``, ``log_laplace_decrement``
-    and ``mean``).
-    """
+    """Unconditional fork rate for independent miners; see :class:`.model.INIDNull`."""
     _require_competition(len(members))
     return fork_rate_curve(INIDNull(members), (delta0,))[0]
 

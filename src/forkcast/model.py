@@ -9,11 +9,14 @@ from __future__ import annotations
 
 import math
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
+import numpy as np
+
 from .errors import InvalidDelay, InvalidModel
-from .quadrature import NullFamily
+from .quadrature import NullFamily, PointMassTransform, PosteriorTransform, posterior_mixture
 
 __all__ = [
     "MinerSet",
@@ -24,6 +27,7 @@ __all__ = [
     "SemiEmpiricalIID",
     "SemiEmpiricalINID",
     "HashRateModel",
+    "population",
     "PeriodRecord",
     "ForkRateResult",
     "characteristic_time",
@@ -127,9 +131,19 @@ class IIDNull:
             raise InvalidModel(f"i.i.d. null model needs n >= 2, got {self.n}")
 
 
+_MEMBER_METHODS = ("log_laplace", "log_laplace_weighted", "log_laplace_decrement", "mean",
+                   "__hash__")
+
+
 @dataclass(frozen=True)
 class INIDNull:
-    """Rates drawn independently from per-miner families."""
+    """Rates drawn independently from per-miner families.
+
+    A member is a null family, a point mass, a posterior transform (an
+    array-valued one is one miner per count) or any hashable object with
+    ``log_laplace``, ``log_laplace_weighted``, ``log_laplace_decrement``
+    and ``mean``; equal members are grouped.
+    """
 
     families: tuple[NullFamily, ...]
 
@@ -137,12 +151,16 @@ class INIDNull:
         fams = tuple(families)
         if len(fams) < 2:
             raise InvalidModel("independent null model needs >= 2 miners")
+        for member in fams:
+            missing = [m for m in _MEMBER_METHODS if not callable(getattr(member, m, None))]
+            if missing:
+                raise InvalidModel(f"member {member!r} lacks {', '.join(missing)}")
         object.__setattr__(self, "families", fams)
 
 
 @dataclass(frozen=True)
-class SemiEmpiricalIID:
-    """Rates i.i.d. from the mixture of block-count posteriors."""
+class _SemiEmpirical:
+    """Block counts and ``gamma`` = blocks / total rate, s per unit rate."""
 
     counts: BlockCounts
     gamma: float
@@ -153,18 +171,42 @@ class SemiEmpiricalIID:
 
 
 @dataclass(frozen=True)
-class SemiEmpiricalINID:
+class SemiEmpiricalIID(_SemiEmpirical):
+    """Rates i.i.d. from the mixture of block-count posteriors."""
+
+
+@dataclass(frozen=True)
+class SemiEmpiricalINID(_SemiEmpirical):
     """Rate of miner i drawn from its own block-count posterior."""
-
-    counts: BlockCounts
-    gamma: float
-
-    def __post_init__(self):
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise InvalidModel(f"gamma must be > 0, got {self.gamma}")
 
 
 HashRateModel = Union[Fixed, IIDNull, INIDNull, SemiEmpiricalIID, SemiEmpiricalINID]
+
+
+def population(model: HashRateModel) -> tuple[list, np.ndarray]:
+    """The miners a model stands for: transform rows and one multiplicity per row.
+
+    Row g stands for ``mult[g]`` miners with i.i.d. rates from its law.  A
+    transform may hold a block of rows (a posterior over an array of
+    counts).  Equal members and equal counts are grouped into one row, in
+    first-occurrence and ascending order.  The fork-rate integral and the
+    simulator both consume this form.
+    """
+    if isinstance(model, Fixed):
+        rates = model.miners.lambdas
+        return [PointMassTransform(lam) for lam in rates], np.ones(len(rates), dtype=int)
+    if isinstance(model, IIDNull):
+        return [model.family], np.array([model.n])
+    if isinstance(model, INIDNull):
+        groups = Counter(model.families)
+        rows = [np.full(np.size(t.mean()), k) for t, k in groups.items()]
+        return list(groups), np.concatenate(rows)
+    if isinstance(model, SemiEmpiricalIID):
+        return [posterior_mixture(model.counts.counts, model.gamma)], np.array([model.counts.n])
+    if isinstance(model, SemiEmpiricalINID):
+        blocks, mult = np.unique(model.counts.counts, return_counts=True)
+        return [PosteriorTransform(blocks, model.gamma)], mult
+    raise TypeError(f"unknown hash-rate model {model!r}")
 
 
 @dataclass(frozen=True)

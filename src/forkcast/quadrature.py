@@ -21,7 +21,8 @@ This module provides
   population at once: the population is held as its distinct block
   counts plus a multiplicity for each, so the semi-empirical fork-rate
   formulas cost one broadcast per distinct count rather than one object
-  per miner.
+  per miner, and the simulator draws a whole population in one
+  broadcast call.
 
 Products of many transform factors are accumulated as sums of logarithms
 (miner counts can reach hundreds, which would underflow in linear space),
@@ -500,6 +501,9 @@ class PointMassTransform:
     def mean(self) -> float:
         return self.rate
 
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        return np.full(size, self.rate)
+
 
 class PosteriorTransform:
     """Block-count posterior transforms of one miner or a group of miners.
@@ -541,6 +545,24 @@ class PosteriorTransform:
     def mean(self):
         return (1.0 + self.blocks) / self.gamma
 
+    def sample(self, rng: np.random.Generator, size, rows=None) -> np.ndarray:
+        """Draws of shape ``size``; the counts broadcast over it, or ``rows`` indexes them."""
+        counts = self.blocks if rows is None else self.blocks[rows]
+        return self.sample_counts(rng, np.broadcast_to(counts, size).copy())
+
+    def sample_counts(self, rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
+        """One draw per entry of the float count array ``b``, written over it.
+
+        A rate's reciprocal is inverse Gaussian with mean gamma/b and shape
+        gamma (one ``wald`` call for every b > 0); at b = 0 the rate is
+        Gamma(1/2, rate gamma/2) (one ``gamma`` call).  Drawing in place
+        keeps a chunk's peak memory at four arrays of its size.
+        """
+        pos = b > 0
+        b[pos] = 1.0 / rng.wald(self.gamma / b[pos], self.gamma)
+        b[~pos] = rng.gamma(0.5, 2.0 / self.gamma, size=b.size - np.count_nonzero(pos))
+        return b
+
 
 def _logsumexp(rows: np.ndarray, axis: int = 0) -> np.ndarray:
     m = np.max(rows, axis=axis)
@@ -551,17 +573,18 @@ def _logsumexp(rows: np.ndarray, axis: int = 0) -> np.ndarray:
 
 
 class MixtureTransform:
-    """Weighted mixture of the rows of one array-valued transform.
+    """Mixture of the rows of an array-valued posterior transform, weighted by multiplicity.
 
     ``components`` returns one row per component (shape
-    ``(k, points)``); ``log_weights`` has shape ``(k,)``.  The decrement
-    is assembled from the components' own decrements so the mixture
-    keeps full relative precision for small ``d``.
+    ``(k, points)``); component g has weight ``mult[g] / sum(mult)``.  The
+    decrement is assembled from the components' own decrements so the
+    mixture keeps full relative precision for small ``d``.
     """
 
-    def __init__(self, components, log_weights):
+    def __init__(self, components, mult):
         self.components = components
-        self.log_weights = np.asarray(log_weights, dtype=float)[:, None]
+        self.mult = np.asarray(mult)
+        self.log_weights = np.log(self.mult / self.mult.sum())[:, None]
 
     def log_laplace(self, s: np.ndarray) -> np.ndarray:
         return _logsumexp(self.components.log_laplace(s) + self.log_weights)
@@ -590,6 +613,11 @@ class MixtureTransform:
     def mean(self) -> float:
         return float(np.sum(np.exp(self.log_weights[:, 0]) * self.components.mean()))
 
+    def sample(self, rng: np.random.Generator, size) -> np.ndarray:
+        """Each draw picks one of ``sum(mult)`` members uniformly, then its component draws."""
+        members = np.repeat(self.components.blocks, self.mult)
+        return self.components.sample_counts(rng, members[rng.integers(0, members.size, size)])
+
 
 def posterior_mixture(counts: Sequence[int], gamma: float) -> MixtureTransform:
     """Equal-weight mixture of per-miner block-count posteriors.
@@ -598,4 +626,4 @@ def posterior_mixture(counts: Sequence[int], gamma: float) -> MixtureTransform:
     multiplicity: the cost scales with the number of distinct counts.
     """
     blocks, mult = np.unique(np.asarray(counts, dtype=float), return_counts=True)
-    return MixtureTransform(PosteriorTransform(blocks, gamma), np.log(mult / mult.sum()))
+    return MixtureTransform(PosteriorTransform(blocks, gamma), mult)

@@ -4,6 +4,10 @@ Each round samples per-miner rates (or reuses fixed ones), draws one
 exponential solve time per miner, and declares a fork when the gap between
 the two fastest solve times is strictly below the propagation delay.
 
+The miners are :func:`.model.population`, the rows and multiplicities
+the fork-rate integral uses; every row draws its columns through its own
+``sample``.  Fixed rates are point-mass rows, drawn once per experiment.
+
 Reproducibility contract: rounds are partitioned into fixed-size chunks
 (sized by the miner count, so the arrays of one chunk stay bounded) and
 chunk ``k`` draws from an independent counter-based stream derived from
@@ -21,15 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidModel
-from .model import (
-    Fixed,
-    HashRateModel,
-    IIDNull,
-    INIDNull,
-    SemiEmpiricalIID,
-    SemiEmpiricalINID,
-    check_delay,
-)
+from .model import Fixed, HashRateModel, check_delay, population
 
 __all__ = ["SimConfig", "SimOutcome", "simulate_fork_rate", "simulate_min_time"]
 
@@ -55,8 +51,14 @@ class SimConfig:
     resample_rates: bool = True
 
     def __post_init__(self):
+        for name in ("rounds", "seed", "threads"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+        if not 0 <= self.seed < 1 << 128:
+            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
         check_delay(self.delta0)
         if self.threads < 0:
             raise ValueError(f"threads must be >= 0, got {self.threads}")
@@ -73,28 +75,10 @@ class SimOutcome:
     rounds: int
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
-    # chunk 0 of the experiment uses jump 1; the unjumped stream is
-    # reserved for experiment-level draws (fixed rate vectors)
-    return np.random.Generator(np.random.Philox(key=seed).jumped(chunk_index + 1))
-
-
-def _experiment_rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=seed))
-
-
-def _sample_posterior(
-    rng: np.random.Generator, blocks: int, gamma: float, size
-) -> np.ndarray:
-    """Draw from the block-count posterior.
-
-    The posterior is a generalized inverse Gaussian whose reciprocal is
-    inverse Gaussian with mean gamma/b and shape gamma; at b = 0 it
-    reduces to Gamma(1/2, rate gamma/2).
-    """
-    if blocks == 0:
-        return rng.gamma(0.5, 2.0 / gamma, size=size)
-    return 1.0 / rng.wald(gamma / blocks, gamma, size=size)
+def _rng(seed: int, jumps: int) -> np.random.Generator:
+    # the unjumped stream (jump 0) draws experiment-level fixed rate
+    # vectors; chunk k of the experiment uses jump k + 1
+    return np.random.Generator(np.random.Philox(key=seed).jumped(jumps))
 
 
 def _chunk_rounds(n: int) -> int:
@@ -107,63 +91,31 @@ def _chunk_rounds(n: int) -> int:
     return min(CHUNK_ROUNDS, max(1, CHUNK_ELEMENTS // n))
 
 
-def _model_width(model: HashRateModel) -> int:
-    if isinstance(model, Fixed):
-        return model.miners.n
-    if isinstance(model, IIDNull):
-        return model.n
-    if isinstance(model, INIDNull):
-        return len(model.families)
-    return model.counts.n
+def _sample_rates(pop, rng: np.random.Generator, rounds: int) -> np.ndarray:
+    """Rate matrix ``(rounds, n)`` drawn from a population ``(transforms, mult)``.
+
+    Row g of the population fills ``mult[g]`` columns, rows in population
+    order, so the population alone fixes the draw order.  Each transform
+    draws the columns of all its rows in one call of its own ``sample``;
+    a block of rows is told the row behind each column.
+    """
+    transforms, mult = pop
+    draws, start = [], 0
+    for t in transforms:
+        k = np.size(t.mean())
+        cols = np.repeat(np.arange(k), mult[start : start + k])
+        start += k
+        size = (rounds, cols.size)
+        draws.append(t.sample(rng, size) if k == 1 else t.sample(rng, size, rows=cols))
+    rates = np.hstack(draws)
+    if not np.all(np.isfinite(rates)) or np.any(rates <= 0):
+        raise InvalidModel("sampled a non-positive or non-finite hash rate")
+    return rates
 
 
-def _sample_rates(
-    model: HashRateModel, rng: np.random.Generator, rounds: int
-) -> np.ndarray:
-    """Rate matrix (rounds, n); draw order is fixed per model kind."""
-    if isinstance(model, IIDNull):
-        return model.family.sample(rng, (rounds, model.n))
-    if isinstance(model, INIDNull):
-        cols = [fam.sample(rng, rounds) for fam in model.families]
-        return np.column_stack(cols)
-    if isinstance(model, SemiEmpiricalINID):
-        cols = [
-            _sample_posterior(rng, b, model.gamma, rounds)
-            for b in model.counts.counts
-        ]
-        return np.column_stack(cols)
-    if isinstance(model, SemiEmpiricalIID):
-        counts = model.counts.counts
-        n = len(counts)
-        # each cell draws its posterior component uniformly, then the
-        # component draws are filled in ascending block-count order
-        idx = rng.integers(0, n, size=(rounds, n))
-        rates = np.empty((rounds, n), dtype=float)
-        chosen = np.asarray(counts, dtype=np.int64)[idx]
-        for b in sorted(set(counts)):
-            mask = chosen == b
-            k = int(mask.sum())
-            if k:
-                rates[mask] = _sample_posterior(rng, b, model.gamma, k)
-        return rates
-    raise TypeError(f"unknown hash-rate model {model!r}")
-
-
-def _run_chunk(
-    model: HashRateModel,
-    delta0: float,
-    seed: int,
-    chunk_index: int,
-    rounds: int,
-    fixed_rates: np.ndarray | None,
-) -> tuple[int, float]:
-    rng = _chunk_rng(seed, chunk_index)
-    if fixed_rates is not None:
-        rates = fixed_rates[None, :]
-    else:
-        rates = _sample_rates(model, rng, rounds)
-        if not np.all(np.isfinite(rates)) or np.any(rates <= 0):
-            raise InvalidModel("sampled a non-positive or non-finite hash rate")
+def _run_chunk(pop, fixed_rates, delta0: float, rng: np.random.Generator, rounds: int):
+    """``(forks, sum of first solve times)`` over ``rounds`` rounds."""
+    rates = _sample_rates(pop, rng, rounds) if fixed_rates is None else fixed_rates
     times = rng.standard_exponential((rounds, rates.shape[-1])) / rates
     two_fastest = np.partition(times, 1, axis=1)[:, :2]
     gaps = two_fastest[:, 1] - two_fastest[:, 0]
@@ -173,25 +125,23 @@ def _run_chunk(
 
 def simulate_fork_rate(cfg: SimConfig) -> SimOutcome:
     """Run the experiment; deterministic for fixed (model, delta0, rounds, seed)."""
-    model = cfg.model
-    width = _model_width(model)
+    pop = population(cfg.model)
+    width = int(np.sum(pop[1]))
     if width < 2:
         raise InvalidModel("simulation needs >= 2 miners")
+    if not all(callable(getattr(t, "sample", None)) for t in pop[0]):
+        raise InvalidModel("a simulated model needs a sample method on every member")
 
-    fixed_rates: np.ndarray | None = None
-    if isinstance(model, Fixed):
-        fixed_rates = np.asarray(model.miners.lambdas, dtype=float)
-    elif not cfg.resample_rates:
-        fixed_rates = _sample_rates(model, _experiment_rng(cfg.seed), 1)[0]
-        if not np.all(np.isfinite(fixed_rates)) or np.any(fixed_rates <= 0):
-            raise InvalidModel("sampled a non-positive or non-finite hash rate")
+    fixed_rates = None
+    if isinstance(cfg.model, Fixed) or not cfg.resample_rates:
+        fixed_rates = _sample_rates(pop, _rng(cfg.seed, 0), 1)
 
     step = _chunk_rounds(width)
     n_chunks = (cfg.rounds + step - 1) // step
     sizes = [min(step, cfg.rounds - i * step) for i in range(n_chunks)]
 
     def job(i: int) -> tuple[int, float]:
-        return _run_chunk(model, cfg.delta0, cfg.seed, i, sizes[i], fixed_rates)
+        return _run_chunk(pop, fixed_rates, cfg.delta0, _rng(cfg.seed, i + 1), sizes[i])
 
     threads = cfg.threads or int(os.environ.get("FORKCAST_THREADS", "0") or 0)
     if threads == 0:
@@ -202,10 +152,8 @@ def simulate_fork_rate(cfg: SimConfig) -> SimOutcome:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             partials = list(pool.map(job, range(n_chunks)))
 
-    # reduce in chunk order: bit-identical for any thread count
-    n_fork = 0
-    sum_min = 0.0
-    for nf, sm in partials:
+    n_fork, sum_min = 0, 0.0
+    for nf, sm in partials:  # in chunk order: bit-identical for any thread count
         n_fork += nf
         sum_min += sm
 

@@ -141,6 +141,19 @@ class TestForkrateCommand:
             fields = line.split(",")
             assert float(fields[1]) == fork_rate_iid(family, doc["n"], d0).value
 
+    def test_quadrature_method_skips_the_closed_form(self, fitted_exp_model, capsys):
+        path, doc = fitted_exp_model
+        code, out, _ = run_cli(
+            capsys, "forkrate", "--model", str(path), "--delta0", "2",
+            "--method", "quadrature",
+        )
+        assert code == 0
+        fields = out.splitlines()[1].split(",")
+        want = fork_rate_iid(Exponential(doc["family"]["rate"]), doc["n"], 2.0,
+                             method="quadrature")
+        assert fields[3] == "quadrature"
+        assert float(fields[1]) == want.value
+
     def test_blocks_input_conditional(self, dataset_dir, capsys):
         code, out, _ = run_cli(
             capsys, "forkrate", "--blocks", str(dataset_dir / "blocks.csv"),

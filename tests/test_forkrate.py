@@ -17,6 +17,7 @@ from forkcast.errors import (
 )
 from forkcast.forkrate import (
     _excluding_row_sums,
+    _population_integral,
     conditional_fork_rate,
     fork_rate,
     fork_rate_curve,
@@ -262,6 +263,34 @@ class TestINIDForkRate:
         res = fork_rate_inid(members, 1.0)
         assert 0.0 < res.value < 1.0
 
+    def test_posterior_and_point_mass_members_against_monte_carlo(self):
+        gamma = 1e6  # a count b has posterior mean rate (1 + b) / gamma
+        members = [
+            PosteriorTransform(np.array([50.0, 20.0]), gamma),
+            PosteriorTransform(0.0, gamma),
+            PointMassTransform(3e-5),
+        ]
+        model = INIDNull(members)
+        analytic = fork_rate(model, 100.0).value
+        sim = simulate_fork_rate(SimConfig(model, 100.0, 200_000, SUITE_SEED))
+        assert abs(sim.fork_rate - analytic) <= 3 * sim.stderr
+
+    def test_members_without_the_transform_interface_rejected(self):
+        with pytest.raises(InvalidModel, match="lacks log_laplace, .*mean"):
+            fork_rate_inid([1e-3, 2e-3], 1.0)
+
+        class NoMean:
+            log_laplace = log_laplace_weighted = log_laplace_decrement = print
+
+        with pytest.raises(InvalidModel, match="lacks mean"):
+            INIDNull([Exponential(2e4), NoMean()])
+
+        class Unhashable(PointMassTransform):
+            __hash__ = None
+
+        with pytest.raises(InvalidModel, match="lacks __hash__"):
+            INIDNull([Exponential(2e4), Unhashable(1e-4)])
+
 
 class TestSemiEmpirical:
     def test_equal_counts_iid_equals_inid(self):
@@ -416,8 +445,9 @@ class TestForkRateCurve:
         with pytest.raises(ValueError, match="empty"):
             fork_rate_curve(CURVE_MODELS["exp"], ())
 
+    @pytest.mark.parametrize("members", ["iid", "equal-inid"])
     @pytest.mark.parametrize("m", [1, 3, 7])
-    def test_lognormal_one_inner_integral_per_outer_evaluation(self, m, monkeypatch):
+    def test_lognormal_one_inner_integral_per_outer_evaluation(self, m, members, monkeypatch):
         # the first _adaptive call is the outer fork-rate integral; every
         # later one is an inner transform integral
         real = quadrature._adaptive
@@ -437,7 +467,10 @@ class TestForkRateCurve:
 
         monkeypatch.setattr(quadrature, "_adaptive", counting)
         grid = np.geomspace(1e-3, 30.0, m)
-        curve = fork_rate_curve(IIDNull(LogNormal(-10.7, 1.27), 35), grid)
+        family = LogNormal(-10.7, 1.27)
+        # 35 equal independent members are one population row, as n i.i.d. ones are
+        model = IIDNull(family, 35) if members == "iid" else INIDNull([family] * 35)
+        curve = fork_rate_curve(model, grid)
         assert len(curve) == m
         assert calls["outer_integrand"] > 0
         assert calls["inner"] == calls["outer_integrand"]
@@ -472,8 +505,31 @@ class TestPopulationIntegral:
         family = _reference_family(kind)
         for d0 in delays:
             grouped = fork_rate_iid(family, n, d0, method="quadrature")
-            rows = fork_rate_inid([family] * n, d0)
-            assert grouped.value == pytest.approx(rows.value, rel=1e-13, abs=0.0)
+            # fork_rate_inid groups equal members, so the n rows go in directly
+            (rows,), _ = _population_integral([family] * n, np.ones(n), np.array([d0]))
+            assert grouped.value == pytest.approx(rows, rel=1e-13, abs=0.0)
+
+    def test_equal_members_are_one_iid_row(self):
+        family = _reference_family("lognormal")
+        inid = fork_rate_inid([family] * 35, 2.0)
+        iid = fork_rate_iid(family, 35, 2.0, method="quadrature")
+        assert (inid.value, inid.error_estimate) == (iid.value, iid.error_estimate)
+
+    def test_grouped_posterior_member_is_its_rows(self):
+        gamma = 1e6
+        pair = PosteriorTransform(np.array([1.0, 2.0]), gamma)
+        single = [PosteriorTransform(b, gamma) for b in (1.0, 2.0, 3.0)]
+        for d0 in (0.5, 50.0):
+            grouped = fork_rate_inid([pair, single[2]], d0)
+            assert grouped.inputs_echo == f"inid, n=3, delta0={d0!r}"
+            assert grouped.value == pytest.approx(
+                fork_rate_inid(single, d0).value, rel=1e-13, abs=0.0
+            )
+            # the same block twice is one group of multiplicity two per row
+            twice = fork_rate_inid([pair, pair], d0).value
+            assert twice == pytest.approx(
+                fork_rate_inid(single[:2] * 2, d0).value, rel=1e-13, abs=0.0
+            )
 
     @pytest.mark.parametrize("m", [1, 3, 7])
     def test_mixture_components_evaluated_once_per_integrand_call(self, m, monkeypatch):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from forkcast.errors import InvalidDelay, InvalidModel
@@ -8,12 +9,20 @@ from forkcast.model import (
     Fixed,
     ForkRateResult,
     IIDNull,
+    INIDNull,
     MinerSet,
     PeriodRecord,
     SemiEmpiricalIID,
+    SemiEmpiricalINID,
     characteristic_time,
+    population,
 )
-from forkcast.quadrature import Exponential
+from forkcast.quadrature import (
+    Exponential,
+    MixtureTransform,
+    PosteriorTransform,
+    TruncatedPowerLaw,
+)
 
 
 class TestMinerSet:
@@ -76,6 +85,40 @@ class TestModels:
     def test_fixed_wraps_miner_set(self):
         model = Fixed(MinerSet([0.001, 0.002]))
         assert model.miners.n == 2
+
+
+class TestPopulation:
+    def test_iid_is_one_row(self):
+        fam = Exponential(2e4)
+        rows, mult = population(IIDNull(fam, 35))
+        assert rows == [fam] and mult.tolist() == [35]
+
+    def test_fixed_is_one_point_mass_per_miner_in_order(self):
+        rows, mult = population(Fixed(MinerSet([0.002, 0.001, 0.002])))
+        assert [t.rate for t in rows] == [0.002, 0.001, 0.002]
+        assert mult.tolist() == [1, 1, 1]
+
+    def test_equal_members_grouped_in_first_occurrence_order(self):
+        a, b = TruncatedPowerLaw(0.5, 1e4), Exponential(2e4)
+        rows, mult = population(INIDNull([a, b, TruncatedPowerLaw(0.5, 1e4), a]))
+        assert rows == [a, b] and mult.tolist() == [3, 1]
+
+    def test_array_valued_member_expands_to_its_rows(self):
+        block, fam = PosteriorTransform(np.array([1.0, 2.0, 5.0]), 1e6), Exponential(2e4)
+        rows, mult = population(INIDNull([block, fam, block]))
+        assert rows == [block, fam]
+        assert mult.tolist() == [2, 2, 2, 1]
+
+    def test_semi_empirical_rows(self):
+        counts = BlockCounts([5, 0, 5, 3])
+        (block,), mult = population(SemiEmpiricalINID(counts, 1e6))
+        assert block.blocks.tolist() == [0.0, 3.0, 5.0] and mult.tolist() == [1, 1, 2]
+        (mix,), mult = population(SemiEmpiricalIID(counts, 1e6))
+        assert isinstance(mix, MixtureTransform) and mult.tolist() == [4]
+
+    def test_unknown_model_rejected(self):
+        with pytest.raises(TypeError, match="unknown hash-rate model"):
+            population(Exponential(2e4))
 
 
 class TestForkRateResult:

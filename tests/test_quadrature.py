@@ -356,6 +356,36 @@ class TestTransforms:
         assert np.array_equal(grouped.mean(), (1.0 + counts) / gamma)
 
 
+class TestSamplers:
+    N = 200_000
+
+    def assert_column_means(self, draws, means):
+        stderr = draws.std(axis=0) / math.sqrt(draws.shape[0])
+        assert np.all(np.abs(draws.mean(axis=0) - means) <= 4 * stderr)
+
+    def test_posterior_counts_broadcast_over_columns(self):
+        rng = np.random.default_rng(3)
+        tr = PosteriorTransform(np.array([0.0, 3.0, 40.0]), 1e4)
+        draws = tr.sample(rng, (self.N, 3))
+        assert draws.shape == (self.N, 3) and np.all(draws > 0)
+        self.assert_column_means(draws, tr.mean())
+
+    def test_posterior_rows_pick_the_count_of_each_column(self):
+        rng = np.random.default_rng(4)
+        tr = PosteriorTransform(np.array([0.0, 3.0, 40.0]), 1e4)
+        rows = np.array([2, 0, 0, 1])
+        self.assert_column_means(tr.sample(rng, (self.N, 4), rows=rows), tr.mean()[rows])
+
+    def test_mixture_draws_have_the_mixture_mean(self):
+        rng = np.random.default_rng(5)
+        mix = posterior_mixture((0, 3, 3, 40), 1e4)
+        self.assert_column_means(mix.sample(rng, (self.N, 2)), mix.mean())
+
+    def test_point_mass_draws_its_rate(self):
+        draws = PointMassTransform(0.001).sample(np.random.default_rng(6), (4, 2))
+        assert np.array_equal(draws, np.full((4, 2), 0.001))
+
+
 class TestLogNormalOracle:
     """The fused lognormal evaluation against 30-digit ``mpmath`` integrals."""
 

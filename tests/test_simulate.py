@@ -5,8 +5,8 @@ import pytest
 
 from forkcast.errors import InvalidModel
 from forkcast.forkrate import fork_rate_iid
-from forkcast.model import BlockCounts, Fixed, IIDNull, MinerSet, SemiEmpiricalINID
-from forkcast.quadrature import Exponential, LogNormal, TruncatedPowerLaw
+from forkcast.model import BlockCounts, Fixed, IIDNull, INIDNull, MinerSet, SemiEmpiricalINID
+from forkcast.quadrature import Exponential, LogNormal, PointMassTransform, TruncatedPowerLaw
 from forkcast.simulate import (
     CHUNK_ELEMENTS,
     CHUNK_ROUNDS,
@@ -151,6 +151,34 @@ class TestValidation:
             SimConfig(model, -1.0, 10, seed=0)
         with pytest.raises(ValueError):
             SimConfig(model, 1.0, 10, seed=0, threads=-1)
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [("rounds", 2.5), ("rounds", True), ("seed", 1.5), ("seed", -1),
+         ("seed", 1 << 128), ("seed", None), ("threads", 1.0), ("threads", False)],
+    )
+    def test_counts_and_seed_must_be_ints(self, field, bad):
+        kwargs = {"rounds": 10, "seed": 0, "threads": 1, field: bad}
+        with pytest.raises(ValueError, match=field):
+            SimConfig(Fixed(MinerSet([0.001, 0.001])), 1.0, **kwargs)
+
+    def test_numpy_ints_accepted(self):
+        cfg = SimConfig(Fixed(MinerSet([0.001, 0.001])), 1.0, np.int64(10), np.uint32(3))
+        assert simulate_fork_rate(cfg).rounds == 10
+
+    def test_member_without_sampler_rejected(self):
+        class Rates:  # the log-transform interface of a point mass, no sampler
+            def __init__(self, rate):
+                self.inner = PointMassTransform(rate)
+
+            def __getattr__(self, name):
+                if name == "sample":
+                    raise AttributeError(name)
+                return getattr(self.inner, name)
+
+        model = INIDNull([Rates(0.001), Rates(0.002)])
+        with pytest.raises(InvalidModel, match="sample method"):
+            simulate_fork_rate(SimConfig(model, 1.0, 10, seed=0))
 
     def test_semi_empirical_model_runs(self):
         counts = BlockCounts([120, 60, 20])
