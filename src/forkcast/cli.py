@@ -342,7 +342,7 @@ def _period_entry(record, families: list[str]) -> dict:
     imp_h = implied_hhi(record.fork_rate_empirical, lam, record.prop_p50)
     return {
         "index": record.index,
-        "n_miners": record.n_miners,
+        "n_miners": record.counts.n,
         "lambda_total": lam,
         "block_time": 1.0 / lam,
         "hhi": hhi_value,

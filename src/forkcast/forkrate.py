@@ -335,7 +335,6 @@ def fork_rate_iid(
 
 def fork_rate_inid(members: Sequence, delta0: float) -> ForkRateResult:
     """Unconditional fork rate for independent miners; see :class:`.model.INIDNull`."""
-    _require_competition(len(members))
     return fork_rate_curve(INIDNull(members), (delta0,))[0]
 
 

@@ -1,15 +1,21 @@
 """Data ingestion: CSV parsers, difficulty conversion, period aggregation.
 
-File formats (UTF-8, comma-separated, LF line endings; unknown extra
-columns are ignored):
+File formats (UTF-8, comma-separated, LF line endings; columns are found
+by header name, a repeated name uses its last column, unknown columns and
+blank lines are ignored, fields are stripped):
 
-    blocks.csv       height,timestamp,bits,miner_id     bits as 0x-prefixed hex
+    blocks.csv       height,timestamp,bits,miner_id     bits hex with a 0x prefix, else decimal
     propagation.csv  timestamp,p50,p90,p99              seconds as decimals
     stale.csv        height
     hashrate.csv     date,hashes_per_second             date as YYYY-MM-DD
 
-Parsers are total: a malformed line raises a :class:`ParseError` carrying
-the file path and line number, never a partial record.
+Blocks and propagation parse to numpy record arrays with the column names
+above as fields, so ``blocks.height`` is an int64 column and
+``blocks[0].height`` one row's value; ``miner_id`` is an object column of
+the ids as read.  Stale heights parse to a 1-D int64 array and hash rates
+to a ``{date: rate}`` dict.  Integers must fit in int64.  Parsers are total: a malformed line raises a :class:`ParseError`
+carrying the file path and line number, never a partial result.  Period
+statistics take a slice of the block array.
 """
 
 from __future__ import annotations
@@ -18,18 +24,17 @@ import bisect
 import csv
 import datetime as dt
 import math
+import operator
 from collections import Counter
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping
+
+import numpy as np
 
 from .errors import EmptyPeriod, InvalidBits, NonContiguous, ParseError
 from .model import BlockCounts, PeriodRecord
 
 __all__ = [
-    "BlockRow",
-    "PropagationRow",
-    "StaleRow",
     "PERIOD_LENGTH",
     "FORK_RATE_RESCALE",
     "parse_blocks_csv",
@@ -53,27 +58,6 @@ _SECONDS_PER_DAY = 86_400
 _EPOCH_DAY = dt.date(1970, 1, 1)
 
 
-@dataclass(frozen=True)
-class BlockRow:
-    height: int
-    timestamp: int
-    bits: int
-    miner_id: str
-
-
-@dataclass(frozen=True)
-class PropagationRow:
-    timestamp: int
-    p50: float
-    p90: float
-    p99: float
-
-
-@dataclass(frozen=True)
-class StaleRow:
-    height: int
-
-
 # ---------------------------------------------------------------------------
 # Compact target encoding
 # ---------------------------------------------------------------------------
@@ -89,6 +73,7 @@ def bits_to_expected_hashes(bits: int) -> float:
     random 256-bit hash lands at or below the target with probability
     ``(target + 1) / 2^256``, so the expectation is ``2^256 / (target+1)``.
     """
+    bits = operator.index(bits)
     if not (0 <= bits <= 0xFFFFFFFF):
         raise InvalidBits(f"bits must be a 32-bit value, got {bits:#x}")
     exponent = bits >> 24
@@ -108,84 +93,110 @@ def bits_to_expected_hashes(bits: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path: str | Path, required: Sequence[str]):
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ParseError(str(path), 1, "empty file, expected a header row")
-        missing = [c for c in required if c not in reader.fieldnames]
-        if missing:
-            raise ParseError(str(path), 1, f"missing column(s) {', '.join(missing)}")
-        for row in reader:
-            yield str(path), reader.line_num, row
+def _bits(text: str) -> int:
+    text = text.strip()
+    return int(text, 16 if text[:2] in ("0x", "0X") else 10)
 
 
-def parse_blocks_csv(path: str | Path) -> list[BlockRow]:
-    rows = []
-    for fname, line, row in _read_rows(path, ("height", "timestamp", "bits", "miner_id")):
+def _read_csv(
+    path: str | Path, columns: Mapping[str, tuple[Callable[[str], object], object]]
+) -> tuple[list[int], list[np.ndarray]]:
+    """Line numbers and named columns of a CSV file with a header row.
+
+    ``columns`` maps each required name to a field converter and a dtype.
+    A converter's ``ValueError``, a row too short for a named column, a
+    ``csv.Error`` and an integer outside the dtype raise
+    :class:`ParseError` at the row's line.
+    """
+    fname = str(path)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
         try:
-            bits_text = row["bits"].strip()
-            rows.append(
-                BlockRow(
-                    height=int(row["height"]),
-                    timestamp=int(row["timestamp"]),
-                    bits=int(bits_text, 16 if bits_text.lower().startswith("0x") else 10),
-                    miner_id=row["miner_id"].strip(),
-                )
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParseError(fname, line, f"bad block row: {exc}") from exc
-        if rows[-1].height < 0:
-            raise ParseError(fname, line, f"negative height {rows[-1].height}")
-        if not rows[-1].miner_id:
-            raise ParseError(fname, line, "empty miner_id")
-    return rows
-
-
-def parse_propagation_csv(path: str | Path) -> list[PropagationRow]:
-    rows = []
-    for fname, line, row in _read_rows(path, ("timestamp", "p50", "p90", "p99")):
+            header = next(reader, None)
+            if header is None:
+                raise ParseError(fname, 1, "empty file, expected a header row")
+            position = {name: i for i, name in enumerate(header)}
+            missing = [c for c in columns if c not in position]
+            if missing:
+                raise ParseError(fname, 1, f"missing column(s) {', '.join(missing)}")
+            picks = [(position[c], convert) for c, (convert, _) in columns.items()]
+            lines, fields = [], [[] for _ in picks]
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    for field, (i, convert) in zip(fields, picks):
+                        field.append(convert(row[i]))
+                except IndexError:
+                    need = max(i for i, _ in picks) + 1
+                    raise ParseError(
+                        fname, reader.line_num, f"{len(row)} field(s), need {need}"
+                    ) from None
+                except ValueError as exc:
+                    raise ParseError(fname, reader.line_num, f"bad row: {exc}") from exc
+                lines.append(reader.line_num)
+        except csv.Error as exc:
+            raise ParseError(fname, reader.line_num, f"bad row: {exc}") from exc
+    arrays = []
+    for field, (_, dtype) in zip(fields, columns.values()):
         try:
-            rec = PropagationRow(
-                timestamp=int(row["timestamp"]),
-                p50=float(row["p50"]),
-                p90=float(row["p90"]),
-                p99=float(row["p99"]),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ParseError(fname, line, f"bad propagation row: {exc}") from exc
-        if not (0.0 < rec.p50 <= rec.p90 <= rec.p99):
-            raise ParseError(fname, line, "need 0 < p50 <= p90 <= p99")
-        rows.append(rec)
-    return rows
+            arrays.append(np.array(field, dtype))
+        except OverflowError:
+            info = np.iinfo(dtype)
+            k = next(k for k, v in enumerate(field) if not info.min <= v <= info.max)
+            raise ParseError(
+                fname, lines[k], f"{field[k]} does not fit in {info.dtype}"
+            ) from None
+    return lines, arrays
 
 
-def parse_stale_csv(path: str | Path) -> list[StaleRow]:
-    rows = []
-    for fname, line, row in _read_rows(path, ("height",)):
-        try:
-            rec = StaleRow(height=int(row["height"]))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(fname, line, f"bad stale row: {exc}") from exc
-        if rec.height < 0:
-            raise ParseError(fname, line, f"negative height {rec.height}")
-        rows.append(rec)
-    return rows
+def _reject(path: str | Path, lines: list[int], bad: np.ndarray, message: str):
+    """Raise :class:`ParseError` at the first row that ``bad`` flags."""
+    if bad.any():
+        raise ParseError(str(path), lines[int(bad.argmax())], message)
+
+
+def parse_blocks_csv(path: str | Path) -> np.recarray:
+    columns = {
+        "height": (int, np.int64),
+        "timestamp": (int, np.int64),
+        "bits": (_bits, np.int64),
+        "miner_id": (str.strip, object),
+    }
+    lines, arrays = _read_csv(path, columns)
+    blocks = np.rec.fromarrays(arrays, names=list(columns))
+    _reject(path, lines, blocks.height < 0, "negative height")
+    _reject(path, lines, blocks.miner_id == "", "empty miner_id")
+    return blocks
+
+
+def parse_propagation_csv(path: str | Path) -> np.recarray:
+    columns = {
+        "timestamp": (int, np.int64),
+        "p50": (float, np.float64),
+        "p90": (float, np.float64),
+        "p99": (float, np.float64),
+    }
+    lines, arrays = _read_csv(path, columns)
+    prop = np.rec.fromarrays(arrays, names=list(columns))
+    ordered = (0.0 < prop.p50) & (prop.p50 <= prop.p90) & (prop.p90 <= prop.p99)
+    _reject(path, lines, ~ordered, "need 0 < p50 <= p90 <= p99")
+    return prop
+
+
+def parse_stale_csv(path: str | Path) -> np.ndarray:
+    lines, (heights,) = _read_csv(path, {"height": (int, np.int64)})
+    _reject(path, lines, heights < 0, "negative height")
+    return heights
 
 
 def parse_hashrate_csv(path: str | Path) -> dict[dt.date, float]:
-    series: dict[dt.date, float] = {}
-    for fname, line, row in _read_rows(path, ("date", "hashes_per_second")):
-        try:
-            day = dt.date.fromisoformat(row["date"].strip())
-            rate = float(row["hashes_per_second"])
-        except (TypeError, ValueError) as exc:
-            raise ParseError(fname, line, f"bad hash-rate row: {exc}") from exc
-        if not (rate > 0 and math.isfinite(rate)):
-            raise ParseError(fname, line, f"hash rate must be > 0, got {rate}")
-        series[day] = rate
-    return series
+    lines, (days, rates) = _read_csv(path, {
+        "date": (lambda text: dt.date.fromisoformat(text.strip()), object),
+        "hashes_per_second": (float, np.float64),
+    })
+    _reject(path, lines, ~((rates > 0) & np.isfinite(rates)), "hash rate must be > 0")
+    return dict(zip(days.tolist(), rates.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -194,90 +205,77 @@ def parse_hashrate_csv(path: str | Path) -> dict[dt.date, float]:
 
 
 def segment_periods(
-    blocks: Sequence[BlockRow], period_len: int = PERIOD_LENGTH
-) -> tuple[list[list[BlockRow]], list[BlockRow]]:
-    """Split a height-contiguous block stream into fixed-length windows.
+    blocks: np.ndarray, period_len: int = PERIOD_LENGTH
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Split a height-contiguous block array into fixed-length windows.
 
-    Returns ``(periods, remainder)``; the trailing partial window is kept
-    out of the statistics.  Raises :class:`NonContiguous` at the first
-    height gap.
+    Returns ``(periods, remainder)`` as slices of ``blocks``; the trailing
+    partial window is kept out of the statistics.  Raises
+    :class:`NonContiguous` at the first height gap.
     """
     if period_len < 1:
         raise ValueError(f"period_len must be >= 1, got {period_len}")
-    blocks = list(blocks)
-    for prev, cur in zip(blocks, blocks[1:]):
-        if cur.height != prev.height + 1:
-            raise NonContiguous(prev.height + 1)
-    periods = [
-        blocks[i : i + period_len]
-        for i in range(0, len(blocks) - period_len + 1, period_len)
-    ]
-    return periods, blocks[len(periods) * period_len :]
+    heights = blocks["height"]
+    gaps = np.flatnonzero(np.diff(heights) != 1)
+    if gaps.size:
+        raise NonContiguous(int(heights[gaps[0]]) + 1)
+    end = len(blocks) - len(blocks) % period_len
+    return [blocks[i : i + period_len] for i in range(0, end, period_len)], blocks[end:]
 
 
-def compute_lambda(
-    hashrate_series: Mapping[dt.date, float], blocks: Sequence[BlockRow]
-) -> float:
+def compute_lambda(hashrate_series: Mapping[dt.date, float], blocks: np.ndarray) -> float:
     """Normalized total hash rate, blocks/s, for one period of blocks.
 
     Mean over blocks of (daily network hash rate / per-block difficulty);
     a block's day falls back to the most recent earlier date in the
     series.  The reciprocal should land near the protocol block time.
     The ratio depends only on the block's UTC day and ``bits``, so it is
-    computed once per distinct pair.
+    computed once per distinct pair, in order of first appearance.
     """
-    if not blocks:
+    if not len(blocks):
         raise EmptyPeriod("no blocks in period")
     if not hashrate_series:
         raise EmptyPeriod("hash-rate series is empty")
     days = sorted(hashrate_series)
-    cache: dict[tuple[int, int], float] = {}
-    ratios = []
-    for block in blocks:
-        key = (block.timestamp // _SECONDS_PER_DAY, block.bits)
-        ratio = cache.get(key)
-        if ratio is None:
-            day = _EPOCH_DAY + dt.timedelta(days=key[0])
-            i = bisect.bisect_right(days, day)
-            if i == 0:
-                raise EmptyPeriod(
-                    f"hash-rate series starts {days[0]}, after block day {day}"
-                )
-            ratio = hashrate_series[days[i - 1]] / bits_to_expected_hashes(block.bits)
-            cache[key] = ratio
-        ratios.append(ratio)
-    return math.fsum(ratios) / len(ratios)
+    pairs = np.rec.fromarrays(
+        [blocks["timestamp"] // _SECONDS_PER_DAY, blocks["bits"]], names="day,bits"
+    )
+    keys, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
+    ratios = np.empty(len(keys))
+    for k in np.argsort(first):
+        day = _EPOCH_DAY + dt.timedelta(days=int(keys[k].day))
+        i = bisect.bisect_right(days, day)
+        if i == 0:
+            raise EmptyPeriod(f"hash-rate series starts {days[0]}, after block day {day}")
+        ratios[k] = hashrate_series[days[i - 1]] / bits_to_expected_hashes(keys[k].bits)
+    return math.fsum(ratios[inverse].tolist()) / len(blocks)
 
 
-def fork_rate_empirical(
-    stales: Sequence[StaleRow],
-    blocks: Sequence[BlockRow],
-    rescale: float = FORK_RATE_RESCALE,
-) -> float:
+def fork_rate_empirical(stales: np.ndarray, blocks: np.ndarray) -> float:
     """Distinct stale heights inside the period over the period length.
 
     Duplicate stale reports at one height count once; the result is
-    rescaled for under-reporting and capped at 1.
+    rescaled by :data:`FORK_RATE_RESCALE` for under-reporting and capped
+    at 1.
     """
-    if not blocks:
+    if not len(blocks):
         raise EmptyPeriod("no blocks in period")
-    lo = blocks[0].height
-    hi = blocks[-1].height
-    heights = {s.height for s in stales if lo <= s.height <= hi}
-    return min(len(heights) * rescale / len(blocks), 1.0)
+    heights = blocks["height"]
+    inside = stales[(heights[0] <= stales) & (stales <= heights[-1])]
+    return min(np.unique(inside).size * FORK_RATE_RESCALE / len(blocks), 1.0)
 
 
-def count_blocks_by_miner(blocks: Sequence[BlockRow]) -> tuple[tuple[str, ...], BlockCounts]:
+def count_blocks_by_miner(blocks: np.ndarray) -> tuple[tuple[str, ...], BlockCounts]:
     """Per-miner block counts for one period, ordered by miner id."""
-    counter = Counter(b.miner_id for b in blocks)
+    counter = Counter(blocks["miner_id"].tolist())
     ids = tuple(sorted(counter))
     return ids, BlockCounts([counter[i] for i in ids])
 
 
 def build_period_record(
-    blocks: Sequence[BlockRow],
-    stales: Sequence[StaleRow],
-    propagation: Sequence[PropagationRow],
+    blocks: np.ndarray,
+    stales: np.ndarray,
+    propagation: np.ndarray,
     hashrate_series: Mapping[dt.date, float],
     period_index: int,
 ) -> PeriodRecord:
@@ -286,14 +284,14 @@ def build_period_record(
     Propagation rows outside the period's wall-clock span are ignored; a
     period with no usable propagation rows raises :class:`EmptyPeriod`.
     """
-    if not blocks:
+    if not len(blocks):
         raise EmptyPeriod("no blocks in period")
     _, counts = count_blocks_by_miner(blocks)
     lam = compute_lambda(hashrate_series, blocks)
-    t_lo = min(b.timestamp for b in blocks)
-    t_hi = max(b.timestamp for b in blocks)
-    in_span = [p for p in propagation if t_lo <= p.timestamp <= t_hi]
-    if not in_span:
+    t_lo, t_hi = int(blocks["timestamp"].min()), int(blocks["timestamp"].max())
+    stamps = propagation["timestamp"]
+    in_span = propagation[(t_lo <= stamps) & (stamps <= t_hi)]
+    if not len(in_span):
         raise EmptyPeriod(
             f"no propagation rows inside the period span [{t_lo}, {t_hi}]"
         )
@@ -301,9 +299,8 @@ def build_period_record(
         index=period_index,
         counts=counts,
         lambda_total=lam,
-        n_miners=counts.n,
         fork_rate_empirical=fork_rate_empirical(stales, blocks),
-        prop_p50=math.fsum(p.p50 for p in in_span) / len(in_span),
-        prop_p90=math.fsum(p.p90 for p in in_span) / len(in_span),
-        prop_p99=math.fsum(p.p99 for p in in_span) / len(in_span),
+        prop_p50=math.fsum(in_span["p50"].tolist()) / len(in_span),
+        prop_p90=math.fsum(in_span["p90"].tolist()) / len(in_span),
+        prop_p99=math.fsum(in_span["p99"].tolist()) / len(in_span),
     )

@@ -149,12 +149,12 @@ class INIDNull:
 
     def __init__(self, families: Sequence[NullFamily]):
         fams = tuple(families)
-        if len(fams) < 2:
-            raise InvalidModel("independent null model needs >= 2 miners")
         for member in fams:
             missing = [m for m in _MEMBER_METHODS if not callable(getattr(member, m, None))]
             if missing:
                 raise InvalidModel(f"member {member!r} lacks {', '.join(missing)}")
+        if sum(np.size(member.mean()) for member in fams) < 2:
+            raise InvalidModel("independent null model needs >= 2 miners")
         object.__setattr__(self, "families", fams)
 
 
@@ -216,7 +216,6 @@ class PeriodRecord:
     index: int
     counts: BlockCounts
     lambda_total: float
-    n_miners: int
     fork_rate_empirical: float
     prop_p50: float
     prop_p90: float
@@ -233,8 +232,6 @@ class PeriodRecord:
             raise InvalidModel(
                 "propagation percentiles must satisfy 0 < p50 <= p90 <= p99"
             )
-        if self.n_miners != self.counts.n:
-            raise InvalidModel("n_miners disagrees with the counts vector")
 
 
 @dataclass(frozen=True)

@@ -99,6 +99,21 @@ class TestFit:
         assert code == 2
         assert out == ""  # no partial output
 
+    def test_short_row_exits_2_with_position(self, tmp_path, capsys):
+        blocks = tmp_path / "blocks.csv"
+        blocks.write_text(
+            "height,timestamp,bits,miner_id\n"
+            "0,1700000000,0x1d00ffff,alice\n"
+            "1,1700000600,0x1d00ffff\n"
+        )
+        code, out, err = run_cli(
+            capsys, "fit", "--blocks", str(blocks), "--lambda", "0.0017",
+            "--family", "exp",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{blocks}:3:" in err
+
 
 class TestForkrateCommand:
     def test_conditional_two_equal_miners(self, tmp_path, capsys):

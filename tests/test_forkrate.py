@@ -275,6 +275,15 @@ class TestINIDForkRate:
         sim = simulate_fork_rate(SimConfig(model, 100.0, 200_000, SUITE_SEED))
         assert abs(sim.fork_rate - analytic) <= 3 * sim.stderr
 
+    def test_array_member_counts_its_miners(self):
+        pair = fork_rate_inid([PosteriorTransform(np.array([1.0, 2.0]), 1e6)], 1.0).value
+        assert pair == fork_rate_inid(
+            [PosteriorTransform(1.0, 1e6), PosteriorTransform(2.0, 1e6)], 1.0
+        ).value
+        assert pair == pytest.approx(1.9103e-6, rel=1e-4)
+        with pytest.raises(InvalidModel, match=">= 2 miners"):
+            fork_rate_inid([PosteriorTransform(1.0, 1e6)], 1.0)
+
     def test_members_without_the_transform_interface_rejected(self):
         with pytest.raises(InvalidModel, match="lacks log_laplace, .*mean"):
             fork_rate_inid([1e-3, 2e-3], 1.0)

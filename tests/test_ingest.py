@@ -18,9 +18,6 @@ from forkcast.forkrate import conditional_fork_rate
 from forkcast.estimate import estimate_hash_rates
 from forkcast.ingest import (
     FORK_RATE_RESCALE,
-    BlockRow,
-    PropagationRow,
-    StaleRow,
     bits_to_expected_hashes,
     build_period_record,
     compute_lambda,
@@ -37,11 +34,17 @@ from forkcast.synthetic import REFERENCE_BITS, REFERENCE_COUNTS, write_dataset
 from conftest import SUITE_SEED
 
 
+BLOCK_FIELDS = "height,timestamp,bits,miner_id"
+PROPAGATION_FIELDS = "timestamp,p50,p90,p99"
+NO_STALES = np.array([], dtype=np.int64)
+
+
 def make_blocks(n, start_height=0, t0=1672617600, spacing=600, bits=REFERENCE_BITS,
                 miner="m0"):
-    return [
-        BlockRow(start_height + i, t0 + i * spacing, bits, miner) for i in range(n)
-    ]
+    return np.rec.fromrecords(
+        [(start_height + i, t0 + i * spacing, bits, miner) for i in range(n)],
+        names=BLOCK_FIELDS,
+    )
 
 
 class TestBits:
@@ -95,6 +98,11 @@ class TestBits:
         with pytest.raises(InvalidBits):
             bits_to_expected_hashes(bits)
 
+    def test_numpy_integer_input(self):
+        assert bits_to_expected_hashes(np.int64(0x1D00FFFF)) == bits_to_expected_hashes(
+            0x1D00FFFF
+        )
+
 
 def per_block_lambda(hashrate_series, blocks):
     """The per-block definition of compute_lambda: one date and one
@@ -122,10 +130,10 @@ class TestComputeLambda:
         edges = rng.integers(1, 40, n // 10) * 86400 + rng.integers(-1, 1, n // 10)
         stamps = np.sort(np.concatenate([offsets, edges])) + midnight
         bits_pool = [REFERENCE_BITS, 0x1803A30C, 0x17053894, 0x1D00FFFF]
-        blocks = [
-            BlockRow(i, int(t), bits_pool[int(rng.integers(len(bits_pool)))], "m")
+        blocks = np.rec.fromrecords([
+            (i, int(t), bits_pool[int(rng.integers(len(bits_pool)))], "m")
             for i, t in enumerate(stamps)
-        ]
+        ], names=BLOCK_FIELDS)
         first = dt.date(2023, 1, 2) + dt.timedelta(days=(midnight - 1672617600) // 86400)
         # a sparse series: most days fall back to an earlier date
         series = {
@@ -136,8 +144,8 @@ class TestComputeLambda:
 
     def test_day_boundary_uses_each_days_rate(self):
         midnight = 1672617600
-        blocks = [BlockRow(0, midnight - 1, REFERENCE_BITS, "m"),
-                  BlockRow(1, midnight, REFERENCE_BITS, "m")]
+        blocks = np.rec.fromrecords([(0, midnight - 1, REFERENCE_BITS, "m"),
+                                     (1, midnight, REFERENCE_BITS, "m")], names=BLOCK_FIELDS)
         day = dt.date(2023, 1, 2)
         series = {day - dt.timedelta(days=1): 1e18, day: 3e18}
         difficulty = bits_to_expected_hashes(REFERENCE_BITS)
@@ -155,8 +163,9 @@ class TestComputeLambda:
 
     def test_series_starting_after_a_later_block(self):
         # the first day is covered, a block on the day before the series is not
-        blocks = [BlockRow(0, 1672617600, REFERENCE_BITS, "m"),
-                  BlockRow(1, 1672617600 - 1, REFERENCE_BITS, "m")]
+        blocks = np.rec.fromrecords([(0, 1672617600, REFERENCE_BITS, "m"),
+                                     (1, 1672617600 - 1, REFERENCE_BITS, "m")],
+                                    names=BLOCK_FIELDS)
         with pytest.raises(EmptyPeriod, match="2023-01-01"):
             compute_lambda({dt.date(2023, 1, 2): 1e18}, blocks)
 
@@ -204,7 +213,7 @@ class TestComputeLambda:
 class TestSegmentPeriods:
     def test_three_full_periods(self):
         periods, rem = segment_periods(make_blocks(60000))
-        assert len(periods) == 3 and rem == []
+        assert len(periods) == 3 and len(rem) == 0
         assert all(len(p) == 20000 for p in periods)
 
     def test_one_block_remainder(self):
@@ -212,7 +221,7 @@ class TestSegmentPeriods:
         assert len(periods) == 1 and len(rem) == 1
 
     def test_gap_detected(self):
-        blocks = make_blocks(5) + make_blocks(5, start_height=7)
+        blocks = np.concatenate([make_blocks(5), make_blocks(5, start_height=7)])
         with pytest.raises(NonContiguous) as err:
             segment_periods(blocks)
         assert err.value.gap_height == 5
@@ -224,43 +233,59 @@ class TestSegmentPeriods:
 
 class TestForkRateEmpirical:
     def test_no_stales(self):
-        assert fork_rate_empirical([], make_blocks(100)) == 0.0
+        assert fork_rate_empirical(NO_STALES, make_blocks(100)) == 0.0
 
     def test_rescaled_anchor(self):
         blocks = make_blocks(20000)
-        stales = [StaleRow(h) for h in range(0, 5600, 100)]  # 56 distinct
+        stales = np.arange(0, 5600, 100)  # 56 distinct
         value = fork_rate_empirical(stales, blocks)
         assert value == pytest.approx(56 * FORK_RATE_RESCALE / 20000, rel=1e-12)
         assert value == pytest.approx(0.0041328, rel=1e-9)
 
     def test_duplicates_count_once(self):
         blocks = make_blocks(100)
-        stales = [StaleRow(5), StaleRow(5), StaleRow(9)]
+        stales = np.array([5, 5, 9])
         assert fork_rate_empirical(stales, blocks) == pytest.approx(
             2 * FORK_RATE_RESCALE / 100
         )
 
     def test_out_of_period_ignored(self):
         blocks = make_blocks(100, start_height=1000)
-        stales = [StaleRow(5), StaleRow(1050), StaleRow(5000)]
+        stales = np.array([5, 1050, 5000])
         assert fork_rate_empirical(stales, blocks) == pytest.approx(
             FORK_RATE_RESCALE / 100
         )
 
     def test_capped_at_one(self):
         blocks = make_blocks(10)
-        stales = [StaleRow(h) for h in range(10)]
+        stales = np.arange(10)
         assert fork_rate_empirical(stales, blocks) == 1.0
 
     @given(st.lists(st.integers(0, 99), min_size=0, max_size=60))
     @settings(max_examples=60, deadline=None)
     def test_permutation_and_duplication_invariance(self, heights):
         blocks = make_blocks(100)
-        base = [StaleRow(h) for h in heights]
-        doubled = base + [StaleRow(h) for h in reversed(heights)]
+        base = np.array(heights, dtype=np.int64)
+        doubled = np.concatenate([base, base[::-1]])
         assert fork_rate_empirical(base, blocks) == fork_rate_empirical(
             doubled, blocks
         )
+
+
+# each parser with its header and one valid row
+CONTRACT_FILES = {
+    "blocks": (parse_blocks_csv, BLOCK_FIELDS, "7,1700000000,0x1d00ffff,alice"),
+    "stale": (parse_stale_csv, "height", "7"),
+    "propagation": (parse_propagation_csv, PROPAGATION_FIELDS, "1700000000,1.0,2.0,3.0"),
+    "hashrate": (parse_hashrate_csv, "date,hashes_per_second", "2023-01-02,1e18"),
+}
+CONTRACT_CASES = ["empty", "missing column", "short row", "oversized field",
+                  "blank lines", "unknown columns", "repeated name", "padded fields"]
+
+
+def _rows(parsed):
+    """Parser output in a form that compares with ==."""
+    return parsed if isinstance(parsed, dict) else np.asarray(parsed).tolist()
 
 
 class TestParsers:
@@ -298,6 +323,17 @@ class TestParsers:
         rows = parse_blocks_csv(p)
         assert rows[0].height == 7 and rows[0].miner_id == "alice"
 
+    def test_miner_ids_kept_exactly(self, tmp_path):
+        p = tmp_path / "blocks.csv"
+        long_id = "m" * 10_000
+        p.write_text(
+            "height,timestamp,bits,miner_id\n"
+            f"0,1700000000,0x1d00ffff,a\x00\n1,1700000600,0x1d00ffff,a\n"
+            f"2,1700001200,0x1d00ffff,{long_id}\n"
+        )
+        ids, counts = count_blocks_by_miner(parse_blocks_csv(p))
+        assert ids == ("a", "a\x00", long_id) and counts.counts == (1, 1, 1)
+
     def test_propagation_ordering_enforced(self, tmp_path):
         p = tmp_path / "prop.csv"
         p.write_text("timestamp,p50,p90,p99\n1,5.0,2.0,9.0\n")
@@ -310,6 +346,75 @@ class TestParsers:
         with pytest.raises(ParseError):
             parse_stale_csv(p)
 
+    @pytest.mark.parametrize("case", CONTRACT_CASES)
+    @pytest.mark.parametrize("kind", sorted(CONTRACT_FILES))
+    def test_contract(self, tmp_path, kind, case):
+        parse, header, row = CONTRACT_FILES[kind]
+        names, values = header.split(","), row.split(",")
+        base = tmp_path / "base.csv"
+        base.write_text(f"{header}\n{row}\n")
+        p = tmp_path / f"{kind}.csv"
+        error_line = None
+        if case == "empty":
+            p.write_text("")
+            error_line = 1
+        elif case == "missing column":
+            p.write_text(",".join(names[:-1]) + "\n" + ",".join(values[:-1]) + "\n")
+            error_line = 1
+        elif case == "short row":
+            # the leading unknown column keeps a one-column row from being blank
+            short = ",".join(["x"] + values[:-1])
+            p.write_text(f"note,{header}\nx,{row}\n{short}\n")
+            error_line = 3
+        elif case == "blank lines":
+            p.write_text(f"{header}\n\n{row}\n\n")
+        elif case == "unknown columns":
+            p.write_text(f"note,{header},extra\nx,{row},\n")
+        elif case == "repeated name":
+            shifted = ",".join(["junk"] + values[1:] + values[:1])
+            p.write_text(f"{header},{names[0]}\n{shifted}\n")
+        elif case == "oversized field":
+            # beyond the csv module's field size limit
+            p.write_text(f"{header}\n" + ",".join(["1" * 200_000] + values[1:]) + "\n")
+            error_line = 2
+        elif case == "padded fields":
+            p.write_text(f"{header}\n" + ",".join(f" {v} " for v in values) + "\n")
+        if error_line is None:
+            assert _rows(parse(p)) == _rows(parse(base))
+        else:
+            with pytest.raises(ParseError) as err:
+                parse(p)
+            assert err.value.line == error_line
+            assert f"{kind}.csv:{error_line}:" in str(err.value)
+
+    @pytest.mark.parametrize("kind, column", [
+        ("blocks", "height"), ("blocks", "timestamp"), ("blocks", "bits"),
+        ("stale", "height"), ("propagation", "timestamp"),
+    ])
+    def test_integers_must_fit_int64(self, tmp_path, kind, column):
+        parse, header, row = CONTRACT_FILES[kind]
+        names, values = header.split(","), row.split(",")
+        i = names.index(column)
+        p = tmp_path / f"{kind}.csv"
+        for value, fits in ((2**63 - 1, True), (2**63, False)):
+            values[i] = hex(value) if column == "bits" else str(value)
+            p.write_text(f"{header}\n{row}\n" + ",".join(values) + "\n")
+            if fits:
+                assert len(parse(p)) == 2
+            else:
+                with pytest.raises(ParseError) as err:
+                    parse(p)
+                assert err.value.line == 3
+
+    @pytest.mark.parametrize("text, bits", [
+        ("0x1d00ffff", 0x1D00FFFF), ("0X1D00FFFF", 0x1D00FFFF),
+        (" 0x1d00ffff ", 0x1D00FFFF), ("010", 10), ("486604799", 0x1D00FFFF),
+    ])
+    def test_bits_hex_only_with_prefix(self, tmp_path, text, bits):
+        p = tmp_path / "blocks.csv"
+        p.write_text(f"height,timestamp,bits,miner_id\n7,1700000000,{text},alice\n")
+        assert parse_blocks_csv(p)[0].bits == bits
+
 
 class TestBuildPeriodRecord:
     def test_fixture_record_matches_oracle(self, dataset_dir):
@@ -320,7 +425,7 @@ class TestBuildPeriodRecord:
         periods, _ = segment_periods(blocks)
         rec = build_period_record(periods[1], stales, prop, series, 1)
         assert rec.index == 1
-        assert rec.n_miners == 35
+        assert rec.counts.n == 35
         assert tuple(sorted(rec.counts.counts, reverse=True)) == REFERENCE_COUNTS
         assert sum(rec.counts.counts) == 20000
         assert rec.fork_rate_empirical == pytest.approx(0.0041328, rel=1e-9)
@@ -331,21 +436,22 @@ class TestBuildPeriodRecord:
     def test_propagation_outside_span_ignored(self):
         blocks = make_blocks(100)
         t0 = blocks[0].timestamp
-        rows = [
-            PropagationRow(t0 - 10_000, 100.0, 200.0, 300.0),  # before span
-            PropagationRow(t0 + 50, 1.0, 2.0, 3.0),
-        ]
+        rows = np.rec.fromrecords([
+            (t0 - 10_000, 100.0, 200.0, 300.0),  # before span
+            (t0 + 50, 1.0, 2.0, 3.0),
+        ], names=PROPAGATION_FIELDS)
         series = {
             dt.datetime.fromtimestamp(t0, dt.timezone.utc).date(): 1.7e18,
         }
-        rec = build_period_record(blocks, [], rows, series, 0)
+        rec = build_period_record(blocks, NO_STALES, rows, series, 0)
         assert rec.prop_p50 == 1.0
 
     def test_no_propagation_in_span(self):
         blocks = make_blocks(10)
         with pytest.raises(EmptyPeriod):
             build_period_record(
-                blocks, [], [PropagationRow(0, 1.0, 2.0, 3.0)],
+                blocks, NO_STALES,
+                np.rec.fromrecords([(0, 1.0, 2.0, 3.0)], names=PROPAGATION_FIELDS),
                 {dt.datetime.fromtimestamp(blocks[0].timestamp, dt.timezone.utc).date(): 1.7e18},
                 0,
             )
@@ -355,19 +461,20 @@ class TestBuildPeriodRecord:
         t0 = blocks[0].timestamp
         series = {dt.datetime.fromtimestamp(t0, dt.timezone.utc).date(): 1.7e18}
         rec = build_period_record(
-            blocks, [], [PropagationRow(t0 + 1, 1.0, 2.0, 3.0)], series, 0
+            blocks, NO_STALES,
+            np.rec.fromrecords([(t0 + 1, 1.0, 2.0, 3.0)], names=PROPAGATION_FIELDS), series, 0
         )
-        assert rec.n_miners == 1
+        assert rec.counts.n == 1
         miners = estimate_hash_rates(rec.counts, rec.lambda_total)
         with pytest.raises(DegenerateMinerSet):
             conditional_fork_rate(miners, 1.0)
 
     def test_count_blocks_by_miner_ordering(self):
-        blocks = [
-            BlockRow(0, 0, REFERENCE_BITS, "b"),
-            BlockRow(1, 1, REFERENCE_BITS, "a"),
-            BlockRow(2, 2, REFERENCE_BITS, "b"),
-        ]
+        blocks = np.rec.fromrecords([
+            (0, 0, REFERENCE_BITS, "b"),
+            (1, 1, REFERENCE_BITS, "a"),
+            (2, 2, REFERENCE_BITS, "b"),
+        ], names=BLOCK_FIELDS)
         ids, counts = count_blocks_by_miner(blocks)
         assert ids == ("a", "b")
         assert counts.counts == (1, 2)

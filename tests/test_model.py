@@ -141,16 +141,8 @@ class TestPeriodRecord:
         with pytest.raises(InvalidModel):
             PeriodRecord(
                 index=0, counts=BlockCounts([5, 5]), lambda_total=0.0017,
-                n_miners=2, fork_rate_empirical=0.0,
+                fork_rate_empirical=0.0,
                 prop_p50=2.0, prop_p90=1.0, prop_p99=3.0,
-            )
-
-    def test_miner_count_consistency(self):
-        with pytest.raises(InvalidModel):
-            PeriodRecord(
-                index=0, counts=BlockCounts([5, 5]), lambda_total=0.0017,
-                n_miners=3, fork_rate_empirical=0.0,
-                prop_p50=1.0, prop_p90=2.0, prop_p99=3.0,
             )
 
 
