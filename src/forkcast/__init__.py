@@ -22,13 +22,7 @@ from .model import (
     SemiEmpiricalINID,
     characteristic_time,
 )
-from .quadrature import (
-    Exponential,
-    LogNormal,
-    NullFamily,
-    QuadratureConfig,
-    TruncatedPowerLaw,
-)
+from .quadrature import Exponential, LogNormal, NullFamily, TruncatedPowerLaw
 
 __all__ = [
     "__version__",
@@ -47,6 +41,5 @@ __all__ = [
     "Exponential",
     "LogNormal",
     "NullFamily",
-    "QuadratureConfig",
     "TruncatedPowerLaw",
 ]

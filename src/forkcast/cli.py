@@ -119,7 +119,7 @@ def model_from_json(doc: dict) -> HashRateModel:
     if kind == "fixed":
         return Fixed(MinerSet([float(x) for x in doc["lambdas"]]))
     if kind == "iid-null":
-        return IIDNull(family_from_json(doc["family"]), int(doc["n"]))
+        return IIDNull(family_from_json(doc["family"]), doc["n"])
     if kind == "semi-iid":
         return SemiEmpiricalIID(BlockCounts(doc["counts"]), float(doc["gamma"]))
     if kind == "semi-inid":

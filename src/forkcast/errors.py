@@ -1,6 +1,9 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the parameter check they back."""
 
 from __future__ import annotations
+
+import math
+import sys
 
 
 class ForkcastError(Exception):
@@ -28,7 +31,11 @@ class InvalidModel(ForkcastError, ValueError):
 
 
 class InvalidDelay(ForkcastError, ValueError):
-    """A delay (or fork rate) is NaN, infinite, negative or positive subnormal."""
+    """A delay, fork rate or transform argument is out of its domain.
+
+    Delays and fork rates must be 0 or positive normal floats; a transform
+    argument must be finite and >= 0.
+    """
 
 
 class ShareSumViolation(ForkcastError, ValueError):
@@ -39,7 +46,7 @@ class DegenerateHHI(ForkcastError, ValueError):
     """Concentration index of exactly one makes the inversion singular."""
 
 
-class DegenerateMinerSet(ForkcastError, ValueError):
+class DegenerateMinerSet(InvalidModel):
     """Fewer than two miners remain where the math needs competition."""
 
 
@@ -74,3 +81,14 @@ class ParseError(ForkcastError, ValueError):
         super().__init__(f"{path}:{line}: {message}")
         self.path = path
         self.line = line
+
+
+def check_positive(value, name: str, error: type[ForkcastError]):
+    """Return ``value``; raise ``error`` naming ``name`` unless it is a positive normal float.
+
+    Outside the normal range, a parameter that later arithmetic scales,
+    divides or inverts turns into infinities, zeros or lost digits.
+    """
+    if not sys.float_info.min <= value < math.inf:
+        raise error(f"{name} must be a positive normal float, got {value!r}")
+    return value

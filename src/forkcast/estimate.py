@@ -11,14 +11,13 @@ confidence bands on the fork-rate curve.
 from __future__ import annotations
 
 import math
-import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .errors import AllZero, DegenerateMinerSet, InvalidModel, InvalidMoments
+from .errors import AllZero, DegenerateMinerSet, InvalidModel, InvalidMoments, check_positive
 from .forkrate import _delay_grid, fork_rate_curve
 from .model import BlockCounts, IIDNull, MinerSet, check_rate
 from .quadrature import Exponential, LogNormal, NullFamily, TruncatedPowerLaw
@@ -50,10 +49,9 @@ class MomentPair:
     s: float
 
     def __post_init__(self):
-        if not (self.m > 0 and math.isfinite(self.m)):
-            raise InvalidMoments(f"mean must be > 0, got {self.m}")
-        if not (self.s >= 0 and math.isfinite(self.s)):
-            raise InvalidMoments(f"std must be >= 0, got {self.s}")
+        check_positive(self.m, "mean m", InvalidMoments)
+        if self.s != 0.0:
+            check_positive(self.s, "std s", InvalidMoments)
 
 
 @dataclass(frozen=True)
@@ -89,10 +87,8 @@ def _check_variances(lambda_total: float, *variances: float) -> None:
     ``lambda_total``, so one that underflowed or overflowed would otherwise
     come back as a silent 0 or infinity.
     """
-    if not all(sys.float_info.min <= v < math.inf for v in variances):
-        raise InvalidModel(
-            f"lambda_total={lambda_total!r} puts a rate variance out of the float range"
-        )
+    for v in variances:
+        check_positive(v, f"a rate variance at lambda_total={lambda_total!r}", InvalidModel)
 
 
 def estimate_hash_rates(counts: BlockCounts, lambda_total: float) -> MinerSet:
@@ -150,9 +146,7 @@ def method_of_moments(mp: MomentPair, family_kind: str) -> NullFamily:
         return LogNormal(mu=math.log(mp.m) - 0.5 * sigma2, sigma=math.sqrt(sigma2))
     if family_kind == "tpl":
         alpha = 1.0 - (mp.m / mp.s) ** 2
-        beta = mp.m / mp.s**2
-        if not (beta > 0 and math.isfinite(beta)):
-            raise InvalidMoments(f"tpl fit produced beta = {beta}")
+        beta = check_positive(mp.m / mp.s**2, "tpl fit beta", InvalidMoments)
         return TruncatedPowerLaw(alpha=alpha, beta=beta)
     raise ValueError(f"unknown family kind {family_kind!r}; use one of {FAMILY_KINDS}")
 

@@ -33,7 +33,6 @@ The Gamma-form families keep the reduced closed-form integrand, which
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -45,6 +44,7 @@ from .errors import (
     InvalidDelay,
     NonConvergent,
     ShareSumViolation,
+    check_positive,
 )
 from .model import (
     Fixed,
@@ -60,7 +60,7 @@ from .model import (
     population,
 )
 from .quadrature import (
-    DEFAULT_CONFIG,
+    REL_TOL,
     Exponential,
     NullFamily,
     TruncatedPowerLaw,
@@ -184,7 +184,7 @@ def _curve(raw, err, method: str, echo: str, delays) -> list[ForkRateResult]:
 
     Quadrature noise just outside [0, 1] is clamped; larger excursions are rejected.
     """
-    slack, results = 10.0 * DEFAULT_CONFIG.rel_tol, []
+    slack, results = 10.0 * REL_TOL, []
     for value, error, d in zip(raw.tolist(), err.tolist(), delays):
         if value < -slack or value > 1.0 + slack:
             raise NonConvergent(f"fork rate {value!r} leaves [0, 1] beyond tolerance")
@@ -264,7 +264,8 @@ def _closed_form_integral(family, n: int, delays: np.ndarray):
     For a Gamma-form family with shape k and rate b the no-fork integrand
     collapses to ``n k b^(nk) / ((b+x)^(1+k) (d+b+x)^((n-1)k))``; the fork
     rate is its difference against the ``d = 0`` normalization, folded into
-    one ``expm1`` factor.  All delays are integrated at once.
+    one ``expm1`` factor.  All delays are integrated at once, on the scale
+    ``1 / (n * mean) = b / (n * k)`` of the population integral.
     """
     k, b = family.shape, family.beta
     log_pref = math.log(n) + math.log(k) + n * k * math.log(b)
@@ -275,11 +276,11 @@ def _closed_form_integral(family, n: int, delays: np.ndarray):
         bracket = -np.expm1(-(n - 1) * k * np.log1p(delays / (b + x)[:, None]))
         return base[:, None] * bracket
 
-    return _integrate_semi_infinite(integrand, scale=b / n)
+    return _integrate_semi_infinite(integrand, scale=b / (n * k))
 
 
-def _iid_curve(family: NullFamily, n: int, delays, method: str):
-    _require_competition(n)
+def _iid_curve(model: IIDNull, delays, method: str):
+    family, n = model.family, model.n
     delays, grid = _delay_grid(delays)
     has_closed_form = isinstance(family, (Exponential, TruncatedPowerLaw))
     if method == "auto":
@@ -308,7 +309,7 @@ def fork_rate_curve(model: HashRateModel, delays: Sequence[float]) -> list[ForkR
         delays, _ = _delay_grid(delays)
         return [conditional_fork_rate(model.miners, d) for d in delays]
     if isinstance(model, IIDNull):
-        return _iid_curve(model.family, model.n, delays, "auto")
+        return _iid_curve(model, delays, "auto")
     transforms, mult = population(model)
     n = int(np.sum(mult))
     _require_competition(n)
@@ -330,7 +331,7 @@ def fork_rate_iid(
     exists (exponential, truncated power law) and generic transform
     quadrature otherwise; ``method='quadrature'`` forces the generic path.
     """
-    return _iid_curve(family, n, (delta0,), method)[0]
+    return _iid_curve(IIDNull(family, n), (delta0,), method)[0]
 
 
 def fork_rate_inid(members: Sequence, delta0: float) -> ForkRateResult:
@@ -392,8 +393,6 @@ def implied_hhi(
     check_delay(delta0)
     if delta0 == 0.0:
         raise ValueError("delta0 must be > 0 to imply a concentration")
-    tau = delta0 * lambda_total
-    if not (sys.float_info.min <= tau < math.inf):
-        raise InvalidDelay(f"delta0 * lambda_total must be a normal float, got {tau!r}")
+    tau = check_positive(delta0 * lambda_total, "delta0 * lambda_total", InvalidDelay)
     value = 1.0 - fork_rate_value / tau
     return ImpliedResult(value=value, valid=0.0 <= value <= 1.0)

@@ -55,7 +55,7 @@ PERIOD_LENGTH = 20_000
 FORK_RATE_RESCALE = 1.476
 
 _SECONDS_PER_DAY = 86_400
-_EPOCH_DAY = dt.date(1970, 1, 1)
+_EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
 # ---------------------------------------------------------------------------
@@ -105,8 +105,8 @@ def _read_csv(
 
     ``columns`` maps each required name to a field converter and a dtype.
     A converter's ``ValueError``, a row too short for a named column, a
-    ``csv.Error`` and an integer outside the dtype raise
-    :class:`ParseError` at the row's line.
+    ``csv.Error``, bytes that are not UTF-8 and an integer outside the
+    dtype raise :class:`ParseError` at the row's line.
     """
     fname = str(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -137,6 +137,15 @@ def _read_csv(
                 lines.append(reader.line_num)
         except csv.Error as exc:
             raise ParseError(fname, reader.line_num, f"bad row: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            # the decoder reads ahead in chunks: find the line in the raw bytes
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as whole:
+                exc = whole
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise ParseError(fname, line, f"not UTF-8: {exc.reason}") from None
     arrays = []
     for field, (_, dtype) in zip(fields, columns.values()):
         try:
@@ -237,15 +246,18 @@ def compute_lambda(hashrate_series: Mapping[dt.date, float], blocks: np.ndarray)
     if not hashrate_series:
         raise EmptyPeriod("hash-rate series is empty")
     days = sorted(hashrate_series)
+    ordinals = [d.toordinal() for d in days]
     pairs = np.rec.fromarrays(
         [blocks["timestamp"] // _SECONDS_PER_DAY, blocks["bits"]], names="day,bits"
     )
     keys, first, inverse = np.unique(pairs, return_index=True, return_inverse=True)
     ratios = np.empty(len(keys))
     for k in np.argsort(first):
-        day = _EPOCH_DAY + dt.timedelta(days=int(keys[k].day))
-        i = bisect.bisect_right(days, day)
+        # day ordinals, not dates: a day past 9999-12-31 still bisects
+        ordinal = int(keys[k].day) + _EPOCH_ORDINAL
+        i = bisect.bisect_right(ordinals, ordinal)
         if i == 0:
+            day = dt.date.fromordinal(ordinal) if ordinal >= 1 else "before 0001-01-01"
             raise EmptyPeriod(f"hash-rate series starts {days[0]}, after block day {day}")
         ratios[k] = hashrate_series[days[i - 1]] / bits_to_expected_hashes(keys[k].bits)
     return math.fsum(ratios[inverse].tolist()) / len(blocks)

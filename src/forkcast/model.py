@@ -8,14 +8,14 @@ freely shareable across threads.
 from __future__ import annotations
 
 import math
-import sys
+import numbers
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidDelay, InvalidModel
+from .errors import DegenerateMinerSet, InvalidDelay, InvalidModel, check_positive
 from .quadrature import NullFamily, PointMassTransform, PosteriorTransform, posterior_mixture
 
 __all__ = [
@@ -40,22 +40,23 @@ __all__ = [
 class MinerSet:
     """Known per-miner hash rates, blocks/s.
 
-    Rates must be positive and finite.  A single-miner set is allowed as a
-    degenerate carrier (it can fall out of zero-count dropping); operations
-    that need competition between miners enforce two or more themselves.
+    Rates and their total must be positive normal floats.  A single-miner
+    set is allowed as a degenerate carrier (it can fall out of zero-count
+    dropping); operations that need competition between miners enforce two
+    or more themselves.
     """
 
     lambdas: tuple[float, ...]
 
     def __init__(self, lambdas: Sequence[float]):
-        lams = tuple(float(x) for x in lambdas)
+        lams = tuple(check_positive(float(x), "hash rate", InvalidModel) for x in lambdas)
         if len(lams) < 1:
             raise InvalidModel("miner set needs at least one miner")
-        if any(not (x > 0 and math.isfinite(x)) for x in lams):
-            raise InvalidModel("every hash rate must be positive and finite")
-        total = math.fsum(lams)
-        if not math.isfinite(total):
-            raise InvalidModel("total hash rate overflows")
+        try:
+            total = math.fsum(lams)
+        except OverflowError:
+            total = math.inf
+        check_positive(total, "total hash rate", InvalidModel)
         object.__setattr__(self, "lambdas", lams)
 
     @property
@@ -78,6 +79,17 @@ class MinerSet:
         return 1.0 / self.total
 
 
+_INT64_MAX = 2**63 - 1
+
+
+def _count(value, name: str) -> int:
+    """``value`` as an int: an integer (or integral float) in ingest's int64 range."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not 0 <= value <= _INT64_MAX or int(value) != value):
+        raise InvalidModel(f"{name} must be an integer in [0, 2**63 - 1], got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class BlockCounts:
     """Per-miner mined-block counts over one observation window."""
@@ -85,13 +97,7 @@ class BlockCounts:
     counts: tuple[int, ...]
 
     def __init__(self, counts: Sequence[int]):
-        vals = []
-        for c in counts:
-            if isinstance(c, bool) or int(c) != c:
-                raise InvalidModel(f"block counts must be integers, got {c!r}")
-            if c < 0:
-                raise InvalidModel(f"block counts must be >= 0, got {c}")
-            vals.append(int(c))
+        vals = [_count(c, "block count") for c in counts]
         if len(vals) < 1:
             raise InvalidModel("block counts need at least one miner")
         if sum(vals) < 1:
@@ -121,14 +127,16 @@ class Fixed:
 
 @dataclass(frozen=True)
 class IIDNull:
-    """Rates drawn i.i.d. from one null family."""
+    """Rates of ``n`` miners drawn i.i.d. from one null family; ``n`` is an integer >= 2."""
 
     family: NullFamily
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise InvalidModel(f"i.i.d. null model needs n >= 2, got {self.n}")
+        n = _count(self.n, "i.i.d. null model n")
+        if n < 2:
+            raise DegenerateMinerSet(f"i.i.d. null model needs n >= 2, got {n}")
+        object.__setattr__(self, "n", n)
 
 
 _MEMBER_METHODS = ("log_laplace", "log_laplace_weighted", "log_laplace_decrement", "mean",
@@ -166,8 +174,7 @@ class _SemiEmpirical:
     gamma: float
 
     def __post_init__(self):
-        if not (self.gamma > 0 and math.isfinite(self.gamma)):
-            raise InvalidModel(f"gamma must be > 0, got {self.gamma}")
+        check_positive(self.gamma, "gamma", InvalidModel)
 
 
 @dataclass(frozen=True)
@@ -222,8 +229,7 @@ class PeriodRecord:
     prop_p99: float
 
     def __post_init__(self):
-        if not (self.lambda_total > 0 and math.isfinite(self.lambda_total)):
-            raise InvalidModel(f"lambda_total must be > 0, got {self.lambda_total}")
+        check_rate(self.lambda_total)
         if not (0.0 <= self.fork_rate_empirical <= 1.0):
             raise InvalidModel(
                 f"fork rate must lie in [0, 1], got {self.fork_rate_empirical}"
@@ -260,26 +266,15 @@ class ForkRateResult:
 def check_delay(value: float, name: str = "delta0") -> None:
     """Raise :class:`InvalidDelay` unless ``value`` is 0 or a positive normal float.
 
-    A positive subnormal input has already lost the significant digits
-    that products and inversions of it need, so it is rejected like NaN,
-    infinity and negative values.  The first-order fork rate, a delay
-    times a rate, goes through the same check.
+    The first-order fork rate, a delay times a rate, goes through the same check.
     """
-    if not (value == 0.0 or sys.float_info.min <= value < math.inf):
-        raise InvalidDelay(f"{name} must be 0 or a positive normal float, got {value!r}")
+    if value != 0.0:
+        check_positive(value, name, InvalidDelay)
 
 
 def check_rate(lambda_total: float) -> None:
-    """Raise :class:`InvalidModel` unless ``lambda_total`` is a positive normal float.
-
-    Zero, negative, NaN, infinite and subnormal rates are rejected: a
-    rate divides or multiplies every quantity derived from it, and a
-    subnormal one turns those into infinities or lost digits.
-    """
-    if not (sys.float_info.min <= lambda_total < math.inf):
-        raise InvalidModel(
-            f"lambda_total must be a positive normal float, got {lambda_total!r}"
-        )
+    """Raise :class:`InvalidModel` unless ``lambda_total`` is a positive normal float."""
+    check_positive(lambda_total, "lambda_total", InvalidModel)
 
 
 def characteristic_time(delta0: float, lambda_total: float) -> float:

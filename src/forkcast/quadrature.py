@@ -42,11 +42,16 @@ from typing import Callable, Sequence, Union
 
 import numpy as np
 
-from .errors import InvalidFamily, NonConvergent, NonFinite
+from .errors import (
+    InvalidDelay,
+    InvalidFamily,
+    InvalidModel,
+    NonConvergent,
+    NonFinite,
+    check_positive,
+)
 
 __all__ = [
-    "QuadratureConfig",
-    "DEFAULT_CONFIG",
     "Exponential",
     "LogNormal",
     "TruncatedPowerLaw",
@@ -63,31 +68,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances and budget for the adaptive integrator.
-
-    ``rel_tol`` and ``abs_tol`` bound the accepted error as
-    ``max(abs_tol, rel_tol * |I|)``.  The defaults leave ample headroom
-    below the smallest fork rates of interest (~1e-5).
-    """
-
-    rel_tol: float = 1e-9
-    abs_tol: float = 1e-12
-    max_subdivisions: int = 2000
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0):
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if not (self.abs_tol >= 0):
-            raise ValueError(f"abs_tol must be >= 0, got {self.abs_tol}")
-        if self.max_subdivisions < 1:
-            raise ValueError(
-                f"max_subdivisions must be >= 1, got {self.max_subdivisions}"
-            )
-
-
-DEFAULT_CONFIG = QuadratureConfig()
+# The adaptive integrator accepts an error of max(ABS_TOL, REL_TOL * |I|)
+# per component, within MAX_SUBDIVISIONS segments.  The tolerances leave
+# ample headroom below the smallest fork rates of interest (~1e-5).
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+MAX_SUBDIVISIONS = 2000
 
 
 # ---------------------------------------------------------------------------
@@ -152,12 +138,15 @@ def _gk_segment(f: Integrand, a: float, b: float):
     return k15, np.abs(k15 - g7)
 
 
-def _adaptive(f: Integrand, edges: Sequence[float], cfg: QuadratureConfig):
+def _adaptive(
+    f: Integrand, edges: Sequence[float], rel_tol: float = REL_TOL, abs_tol: float = ABS_TOL
+):
     """Adaptive bisection over initial ``edges``; batched integrands allowed.
 
     ``f`` maps an array of points to values of shape ``(npoints,)`` or
-    ``(npoints, m)``; all ``m`` components are refined until each meets the
-    tolerance.  Returns ``(value, error)`` with matching shapes.
+    ``(npoints, m)``; all ``m`` components are refined until each meets
+    ``max(abs_tol, rel_tol * |I|)``.  Returns ``(value, error)`` with
+    matching shapes.
     """
     heap = []
     counter = 0
@@ -172,10 +161,10 @@ def _adaptive(f: Integrand, edges: Sequence[float], cfg: QuadratureConfig):
 
     n_segments = len(edges) - 1
     while True:
-        bound = np.maximum(cfg.abs_tol, cfg.rel_tol * np.abs(total_val))
+        bound = np.maximum(abs_tol, rel_tol * np.abs(total_val))
         if np.all(total_err <= bound):
             break
-        if n_segments >= cfg.max_subdivisions:
+        if n_segments >= MAX_SUBDIVISIONS:
             raise NonConvergent(
                 f"tolerance not reached after {n_segments} segments "
                 f"(error {np.max(total_err):.3e})"
@@ -195,16 +184,13 @@ def _adaptive(f: Integrand, edges: Sequence[float], cfg: QuadratureConfig):
     return total_val, total_err
 
 
-def _integrate_semi_infinite(
-    f: Integrand, cfg: QuadratureConfig = DEFAULT_CONFIG, *, scale: float = 1.0
-):
+def _integrate_semi_infinite(f: Integrand, *, scale: float = 1.0):
     """Integrate ``f`` over (0, inf) via ``x = scale * t / (1 - t)``.
 
     ``scale`` should match the characteristic decay length of the
     integrand so the adaptive refinement starts close to the mass.
     """
-    if not (scale > 0 and math.isfinite(scale)):
-        raise ValueError(f"scale must be positive and finite, got {scale}")
+    check_positive(scale, "integration scale", InvalidModel)
 
     def g(t: np.ndarray) -> np.ndarray:
         one_minus = 1.0 - t
@@ -215,19 +201,17 @@ def _integrate_semi_infinite(
             return vals * jac
         return vals * jac[:, None]
 
-    return _adaptive(g, (0.0, 0.5, 1.0), cfg)
+    return _adaptive(g, (0.0, 0.5, 1.0))
 
 
-def integrate_semi_infinite(
-    f: Integrand, cfg: QuadratureConfig = DEFAULT_CONFIG, *, scale: float = 1.0
-) -> float:
-    """Return ``integral_0^inf f(x) dx`` to the configured tolerance.
+def integrate_semi_infinite(f: Integrand, *, scale: float = 1.0) -> float:
+    """Return ``integral_0^inf f(x) dx`` to the module tolerances.
 
     ``f`` must accept numpy arrays and be finite on (0, inf); raises
     :class:`NonFinite` on NaN/inf evaluations and :class:`NonConvergent`
     when the subdivision budget runs out.
     """
-    value, _ = _integrate_semi_infinite(f, cfg, scale=scale)
+    value, _ = _integrate_semi_infinite(f, scale=scale)
     return float(value)
 
 
@@ -265,8 +249,7 @@ class Exponential(_GammaForm):
     shape = 1.0  # the Gamma form of an exponential; not a dataclass field
 
     def __post_init__(self):
-        if not (self.rate > 0 and math.isfinite(self.rate)):
-            raise InvalidFamily(f"Exponential needs rate > 0, got {self.rate}")
+        check_positive(self.rate, "Exponential rate", InvalidFamily)
 
     @property
     def beta(self) -> float:
@@ -291,14 +274,12 @@ class Exponential(_GammaForm):
 _Z_EDGES = (-40.0, -8.0, -2.0, 0.0, 2.0, 8.0, 40.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
-# Inner log-normal integrals must be tighter than the outer quadrature that
-# consumes them.  The absolute floor (relative to each component's maximum,
-# 1: W is integrated over its mean) lets deep-tail evaluations that
-# underflowed to nothing terminate instead of chasing relative accuracy of
-# denormals.
-_LOGNORMAL_INNER = QuadratureConfig(
-    0.1 * DEFAULT_CONFIG.rel_tol, 1e-18, DEFAULT_CONFIG.max_subdivisions
-)
+# Inner log-normal integrals (rel_tol, abs_tol) must be tighter than the
+# outer quadrature that consumes them.  The absolute floor (relative to each
+# component's maximum, 1: W is integrated over its mean) lets deep-tail
+# evaluations that underflowed to nothing terminate instead of chasing
+# relative accuracy of denormals.
+_LOGNORMAL_INNER = (0.1 * REL_TOL, 1e-18)
 
 
 @dataclass(frozen=True)
@@ -314,10 +295,10 @@ class LogNormal:
     sigma: float
 
     def __post_init__(self):
-        if not (self.sigma > 0 and math.isfinite(self.sigma)):
-            raise InvalidFamily(f"LogNormal needs sigma > 0, got {self.sigma}")
-        if not math.isfinite(self.mu):
-            raise InvalidFamily(f"LogNormal needs finite mu, got {self.mu}")
+        check_positive(self.sigma, "LogNormal sigma", InvalidFamily)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            mean = np.exp(self.mu + 0.5 * self.sigma * self.sigma).item()
+        check_positive(mean, "LogNormal mean exp(mu + sigma^2 / 2)", InvalidFamily)
 
     def density(self, lam):
         lam = np.asarray(lam, dtype=float)
@@ -363,7 +344,7 @@ class LogNormal:
             drops = plain[:, :, None] * (-np.expm1(-np.outer(lam, delays)))[:, None, :]
             return np.concatenate([plain, weighted, drops.reshape(z.size, ns * m)], axis=1)
 
-        value, _ = _adaptive(integrand, _Z_EDGES, _LOGNORMAL_INNER)
+        value, _ = _adaptive(integrand, _Z_EDGES, *_LOGNORMAL_INNER)
         plain, weighted = value[:ns], value[ns : 2 * ns]
         drops = value[2 * ns :].reshape(ns, m)
         plain_col = plain[:, None]
@@ -409,8 +390,7 @@ class TruncatedPowerLaw(_GammaForm):
             raise InvalidFamily(
                 f"TruncatedPowerLaw needs alpha < 1, got {self.alpha}"
             )
-        if not (self.beta > 0 and math.isfinite(self.beta)):
-            raise InvalidFamily(f"TruncatedPowerLaw needs beta > 0, got {self.beta}")
+        check_positive(self.beta, "TruncatedPowerLaw beta", InvalidFamily)
 
     @property
     def shape(self) -> float:
@@ -439,17 +419,20 @@ class TruncatedPowerLaw(_GammaForm):
 NullFamily = Union[Exponential, LogNormal, TruncatedPowerLaw]
 
 
+def _check_argument(s: float) -> None:
+    if not 0.0 <= s < math.inf:
+        raise InvalidDelay(f"transform argument s must be finite and >= 0, got {s!r}")
+
+
 def laplace(family, s: float) -> float:
     """E[exp(-s*lam)] of a family or transform; numeric only for the log-normal."""
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    _check_argument(s)
     return np.exp(family.log_laplace(s)).item()
 
 
 def laplace_weighted(family, s: float) -> float:
     """E[lam * exp(-s*lam)]; equals -d/ds of :func:`laplace`."""
-    if s < 0:
-        raise ValueError(f"s must be >= 0, got {s}")
+    _check_argument(s)
     return np.exp(family.log_laplace_weighted(s)).item()
 
 
@@ -485,9 +468,7 @@ class PointMassTransform:
     """Degenerate transform of a known, fixed rate."""
 
     def __init__(self, rate: float):
-        if not (rate > 0 and math.isfinite(rate)):
-            raise InvalidFamily(f"rate must be > 0, got {rate}")
-        self.rate = rate
+        self.rate = check_positive(rate, "point-mass rate", InvalidFamily)
 
     def log_laplace(self, s: np.ndarray) -> np.ndarray:
         return -self.rate * np.asarray(s, dtype=float)
@@ -514,12 +495,10 @@ class PosteriorTransform:
 
     def __init__(self, blocks, gamma: float):
         blocks = np.asarray(blocks, dtype=float)
-        if blocks.ndim > 1 or not np.all(blocks >= 0):
-            raise ValueError(f"blocks must be >= 0 (scalar or 1-D), got {blocks}")
-        if not (gamma > 0 and math.isfinite(gamma)):
-            raise ValueError(f"gamma must be > 0, got {gamma}")
+        if blocks.ndim > 1 or not np.all((0 <= blocks) & (blocks < math.inf)):
+            raise InvalidFamily(f"blocks must be finite and >= 0 (scalar or 1-D), got {blocks}")
         self.blocks = blocks
-        self.gamma = gamma
+        self.gamma = check_positive(gamma, "posterior gamma", InvalidFamily)
 
     def _counts_and_u(self, s: np.ndarray):
         """Counts shaped to broadcast against ``s``, and ``u(s)``."""

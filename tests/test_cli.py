@@ -178,6 +178,35 @@ class TestForkrateCommand:
         assert out.splitlines()[1].split(",")[3] == "conditional"
 
 
+    @pytest.mark.parametrize("model, name", [
+        pytest.param('"iid-null", "n": 35, "family": {"kind": "lognormal", "mu": 800, "sigma": 1}',
+                     "LogNormal mean", id="lognormal-mu-800"),
+        pytest.param('"iid-null", "n": 35, "family": {"kind": "lognormal", "mu": -800, "sigma": 1}',
+                     "LogNormal mean", id="lognormal-mu--800"),
+        pytest.param('"iid-null", "n": 35, "family": {"kind": "lognormal", "mu": -10, "sigma": 40}',
+                     "LogNormal mean", id="lognormal-sigma-40"),
+        pytest.param('"fixed", "lambdas": [1e308, 1e308]', "total hash rate", id="fixed-total"),
+        pytest.param('"semi-iid", "counts": [1e999, 2], "gamma": 1e6', "block count",
+                     id="semi-iid-count-inf"),
+        pytest.param('"iid-null", "n": 1e999, "family": {"kind": "exp", "rate": 2e4}', "n must be",
+                     id="iid-n-inf"),
+        pytest.param('"iid-null", "n": 3.7, "family": {"kind": "exp", "rate": 2e4}', "n must be",
+                     id="iid-n-3.7"),
+        pytest.param('"iid-null", "n": 35, "family": {"kind": "exp", "rate": 1e-320}',
+                     "Exponential rate", id="exp-rate-subnormal"),
+        pytest.param('"semi-iid", "counts": [3, 2], "gamma": 1e-320', "gamma",
+                     id="semi-iid-gamma-subnormal"),
+        pytest.param('"semi-inid", "counts": [1' + "0" * 300 + ', 2], "gamma": 1e6', "block count",
+                     id="semi-inid-count-1e300"),
+    ])
+    def test_out_of_range_model_names_the_parameter(self, tmp_path, capsys, model, name):
+        path = tmp_path / "m.json"
+        path.write_text('{"kind": ' + model + "}")
+        code, _, err = run_cli(capsys, "forkrate", "--model", str(path), "--delta0", "1")
+        assert code in (2, 3)
+        assert name in err and "internal error" not in err
+
+
 class TestSimulateCommand:
     def test_seed_repeat_byte_identical(self, fitted_exp_model, capsys):
         path, _ = fitted_exp_model

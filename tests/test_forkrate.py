@@ -41,7 +41,8 @@ from forkcast.model import (
     SemiEmpiricalINID,
 )
 from forkcast.quadrature import (
-    DEFAULT_CONFIG,
+    ABS_TOL,
+    REL_TOL,
     Exponential,
     LogNormal,
     PointMassTransform,
@@ -430,9 +431,9 @@ class TestForkRateCurve:
             # estimates, and to 1e-12 wherever the relative tolerance rules
             gap = abs(res.value - single.value)
             assert gap <= res.error_estimate + single.error_estimate
-            if single.value * DEFAULT_CONFIG.rel_tol >= DEFAULT_CONFIG.abs_tol:
+            if single.value * REL_TOL >= ABS_TOL:
                 assert res.value == pytest.approx(single.value, rel=1e-12, abs=0.0)
-        assert curve[-1].value * DEFAULT_CONFIG.rel_tol >= DEFAULT_CONFIG.abs_tol
+        assert curve[-1].value * REL_TOL >= ABS_TOL
 
     @pytest.mark.parametrize("name", sorted(CURVE_MODELS))
     def test_zero_delay_in_grid_is_exactly_zero(self, name):
@@ -462,17 +463,17 @@ class TestForkRateCurve:
         real = quadrature._adaptive
         calls = {"outer_integrand": 0, "inner": 0, "outer_started": False}
 
-        def counting(f, edges, cfg):
+        def counting(f, edges, *tol):
             if calls["outer_started"]:
                 calls["inner"] += 1
-                return real(f, edges, cfg)
+                return real(f, edges, *tol)
             calls["outer_started"] = True
 
             def outer(t):
                 calls["outer_integrand"] += 1
                 return f(t)
 
-            return real(outer, edges, cfg)
+            return real(outer, edges, *tol)
 
         monkeypatch.setattr(quadrature, "_adaptive", counting)
         grid = np.geomspace(1e-3, 30.0, m)

@@ -209,6 +209,18 @@ class TestComputeLambda:
         with pytest.raises(EmptyPeriod):
             compute_lambda({dt.date(2030, 1, 1): 1e18}, blocks)
 
+    @pytest.mark.parametrize("t0", [10**14, 2**63 - 1 - 600])
+    def test_days_past_year_9999_use_the_last_rate(self, t0):
+        blocks = make_blocks(2, t0=t0)
+        series = {dt.date(2023, 1, 1): 1e18, dt.date(2023, 1, 2): 3e18}
+        difficulty = bits_to_expected_hashes(REFERENCE_BITS)
+        assert compute_lambda(series, blocks) == 3e18 / difficulty
+
+    @pytest.mark.parametrize("t0", [-(10**14), -(2**63)])
+    def test_days_before_year_1_precede_the_series(self, t0):
+        with pytest.raises(EmptyPeriod, match="before 0001-01-01"):
+            compute_lambda({dt.date(2023, 1, 1): 1e18}, make_blocks(2, t0=t0))
+
 
 class TestSegmentPeriods:
     def test_three_full_periods(self):
@@ -307,6 +319,20 @@ class TestParsers:
             parse_blocks_csv(p)
         assert err.value.line == 3
         assert "bad.csv" in str(err.value)
+
+    @pytest.mark.parametrize("line", [1, 2, 500])
+    def test_non_utf8_byte_reports_its_line(self, tmp_path, line):
+        # line 500 lies beyond the text decoder's first read-ahead chunk
+        rows = [b"height,timestamp,bits,miner_id"]
+        rows += [b"%d,%d,0x1d00ffff,miner-%d" % (i, 1700000000 + 600 * i, i % 7)
+                 for i in range(600)]
+        rows[line - 1] += b"\xff"
+        p = tmp_path / "blocks.csv"
+        p.write_bytes(b"\n".join(rows) + b"\n")
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            parse_blocks_csv(p)
+        assert err.value.line == line
+        assert str(err.value).startswith(f"{p}:{line}:")
 
     def test_missing_column(self, tmp_path):
         p = tmp_path / "bad.csv"

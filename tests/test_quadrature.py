@@ -7,13 +7,15 @@ from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
 from forkcast.errors import InvalidFamily, NonConvergent, NonFinite
+from forkcast import quadrature
 from forkcast.quadrature import (
-    DEFAULT_CONFIG,
+    ABS_TOL,
+    MAX_SUBDIVISIONS,
+    REL_TOL,
     Exponential,
     LogNormal,
     PointMassTransform,
     PosteriorTransform,
-    QuadratureConfig,
     TruncatedPowerLaw,
     integrate_semi_infinite,
     laplace,
@@ -49,18 +51,9 @@ def posterior_oracle(b, gamma, s, weighted=False):
 
 class TestConfig:
     def test_defaults(self):
-        assert DEFAULT_CONFIG.rel_tol == 1e-9
-        assert DEFAULT_CONFIG.abs_tol == 1e-12
-        assert DEFAULT_CONFIG.max_subdivisions == 2000
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [dict(rel_tol=0.0), dict(rel_tol=-1e-9), dict(abs_tol=-1.0),
-         dict(max_subdivisions=0)],
-    )
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
-            QuadratureConfig(**kwargs)
+        assert REL_TOL == 1e-9
+        assert ABS_TOL == 1e-12
+        assert MAX_SUBDIVISIONS == 2000
 
 
 class TestIntegrateSemiInfinite:
@@ -86,10 +79,10 @@ class TestIntegrateSemiInfinite:
         with pytest.raises(NonFinite):
             integrate_semi_infinite(lambda x: np.where(x > 1.0, np.nan, 1.0) * np.exp(-x))
 
-    def test_subdivision_limit(self):
-        cfg = QuadratureConfig(rel_tol=1e-12, abs_tol=0.0, max_subdivisions=3)
+    def test_subdivision_limit(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 3)
         with pytest.raises(NonConvergent):
-            integrate_semi_infinite(lambda x: np.sin(x) ** 2 * np.exp(-0.001 * x), cfg)
+            integrate_semi_infinite(lambda x: np.sin(x) ** 2 * np.exp(-0.001 * x))
 
     def test_zero_integrand(self):
         assert integrate_semi_infinite(lambda x: np.zeros_like(x)) == 0.0
@@ -113,9 +106,7 @@ class TestFamilies:
             TruncatedPowerLaw(0.75, 5000.0),
         ]
         for fam in families:
-            total = integrate_semi_infinite(
-                fam.density, QuadratureConfig(1e-9, 1e-12, 4000), scale=fam.mean()
-            )
+            total = integrate_semi_infinite(fam.density, scale=fam.mean())
             assert total == pytest.approx(1.0, rel=1e-7), fam
 
 
