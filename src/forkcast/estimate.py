@@ -141,12 +141,15 @@ def method_of_moments(mp: MomentPair, family_kind: str) -> NullFamily:
         raise InvalidMoments(
             f"{family_kind} fit needs s > 0 (all counts equal is degenerate)"
         )
+    # products, not ``** 2``: out of range they give inf or 0 for the checks
     if family_kind == "lognormal":
-        sigma2 = math.log1p((mp.s / mp.m) ** 2)
+        cv = mp.s / mp.m
+        sigma2 = math.log1p(cv * cv)
         return LogNormal(mu=math.log(mp.m) - 0.5 * sigma2, sigma=math.sqrt(sigma2))
     if family_kind == "tpl":
-        alpha = 1.0 - (mp.m / mp.s) ** 2
-        beta = check_positive(mp.m / mp.s**2, "tpl fit beta", InvalidMoments)
+        ratio, var = mp.m / mp.s, mp.s * mp.s
+        alpha = 1.0 - ratio * ratio
+        beta = check_positive(mp.m / var if var else math.inf, "tpl fit beta", InvalidMoments)
         return TruncatedPowerLaw(alpha=alpha, beta=beta)
     raise ValueError(f"unknown family kind {family_kind!r}; use one of {FAMILY_KINDS}")
 

@@ -82,6 +82,8 @@ DERIVED = [
     ("LogNormal mean", lambda: LogNormal(0.0, 40.0)),
     ("LogNormal mean", lambda: LogNormal(math.nan, 1.0)),
     ("LogNormal mean", lambda: LogNormal(-math.inf, 1.0)),
+    ("Exponential mean", lambda: Exponential(1e308)),
+    ("TruncatedPowerLaw mean", lambda: TruncatedPowerLaw(-1e308, 1e-300)),
     ("block count", lambda: BlockCounts([math.inf, 2])),
     ("block count", lambda: BlockCounts([math.nan, 2])),
     ("block count", lambda: BlockCounts([10**300, 2])),
@@ -93,6 +95,9 @@ DERIVED = [
     ("n", lambda: fork_rate_iid(Exponential(2e4), 3.7, 1.0)),
     ("rate variance", lambda: fit_moments(BlockCounts([1, 2]), 1e-160)),
     ("tpl fit beta", lambda: method_of_moments(MomentPair(1e-10, 1e-160), "tpl")),
+    ("tpl fit beta", lambda: method_of_moments(MomentPair(1.0, 1e-160), "tpl")),
+    ("tpl fit beta", lambda: method_of_moments(MomentPair(1.0, 1e-170), "tpl")),
+    ("LogNormal sigma", lambda: method_of_moments(MomentPair(1.0, 1e155), "lognormal")),
     ("delta0 * lambda_total", lambda: implied_hhi(0.1, 1e-200, 1e-200)),
     ("blocks", lambda: PosteriorTransform(np.array([np.inf, 1.0]), 1.0)),
     ("blocks", lambda: PosteriorTransform(np.array([np.nan, 1.0]), 1.0)),

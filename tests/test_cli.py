@@ -198,6 +198,10 @@ class TestForkrateCommand:
                      id="semi-iid-gamma-subnormal"),
         pytest.param('"semi-inid", "counts": [1' + "0" * 300 + ', 2], "gamma": 1e6', "block count",
                      id="semi-inid-count-1e300"),
+        pytest.param('"iid-null", "n": 35, "family": {"kind": "exp", "rate": 1e308}',
+                     "Exponential mean", id="exp-mean-subnormal"),
+        pytest.param('"iid-null", "n": 35, "family": {"kind": "tpl", "alpha": -1e308, "beta": 1e-300}',
+                     "TruncatedPowerLaw mean", id="tpl-mean-inf"),
     ])
     def test_out_of_range_model_names_the_parameter(self, tmp_path, capsys, model, name):
         path = tmp_path / "m.json"

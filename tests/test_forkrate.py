@@ -457,33 +457,35 @@ class TestForkRateCurve:
 
     @pytest.mark.parametrize("members", ["iid", "equal-inid"])
     @pytest.mark.parametrize("m", [1, 3, 7])
-    def test_lognormal_one_inner_integral_per_outer_evaluation(self, m, members, monkeypatch):
-        # the first _adaptive call is the outer fork-rate integral; every
-        # later one is an inner transform integral
-        real = quadrature._adaptive
-        calls = {"outer_integrand": 0, "inner": 0, "outer_started": False}
+    def test_lognormal_one_log_rows_call_per_outer_evaluation(self, m, members, monkeypatch):
+        real_adaptive, real_rows = quadrature._adaptive, LogNormal.log_rows
+        calls = {"integrals": 0, "outer_integrand": 0, "log_rows": 0}
 
-        def counting(f, edges, *tol):
-            if calls["outer_started"]:
-                calls["inner"] += 1
-                return real(f, edges, *tol)
-            calls["outer_started"] = True
+        def counting_adaptive(f, edges):
+            calls["integrals"] += 1
 
             def outer(t):
                 calls["outer_integrand"] += 1
                 return f(t)
 
-            return real(outer, edges, *tol)
+            return real_adaptive(outer, edges)
 
-        monkeypatch.setattr(quadrature, "_adaptive", counting)
+        def counting_rows(self, s, delays):
+            calls["log_rows"] += 1
+            return real_rows(self, s, delays)
+
+        monkeypatch.setattr(quadrature, "_adaptive", counting_adaptive)
+        monkeypatch.setattr(LogNormal, "log_rows", counting_rows)
         grid = np.geomspace(1e-3, 30.0, m)
         family = LogNormal(-10.7, 1.27)
         # 35 equal independent members are one population row, as n i.i.d. ones are
         model = IIDNull(family, 35) if members == "iid" else INIDNull([family] * 35)
         curve = fork_rate_curve(model, grid)
         assert len(curve) == m
+        # one integral per curve, and every delay from one fused evaluation
+        assert calls["integrals"] == 1
         assert calls["outer_integrand"] > 0
-        assert calls["inner"] == calls["outer_integrand"]
+        assert calls["log_rows"] == calls["outer_integrand"]
 
 
 def _reference_family(kind):
@@ -508,7 +510,7 @@ class TestPopulationIntegral:
             ("tpl", 35, (1e-3, 0.815, 2.0, 9.0)),
             ("lognormal", 2, (1e-3, 0.815, 9.0)),
             ("lognormal", 5, (1e-3, 0.815, 9.0)),
-            ("lognormal", 35, (2.0,)),  # about 1 s per delay: 35 inner integrals per point
+            ("lognormal", 35, (1e-3, 0.815, 9.0)),
         ],
     )
     def test_one_group_equals_n_explicit_rows(self, kind, n, delays):

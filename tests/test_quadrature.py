@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -378,9 +379,8 @@ class TestSamplers:
 
 
 class TestLogNormalOracle:
-    """The fused lognormal evaluation against 30-digit ``mpmath`` integrals."""
+    """The lognormal transforms against 40-digit ``mpmath`` sums."""
 
-    S = (0.0, 1e2, 1e4, 1e6, 1e8)
     DELAYS = (1e-6, 0.815, 9.0, 1e3)
 
     @staticmethod
@@ -392,40 +392,106 @@ class TestLogNormalOracle:
         moments = fit_moments(BlockCounts(REFERENCE_COUNTS), REFERENCE_LAMBDA)
         return method_of_moments(moments, "lognormal")
 
-    def test_components_against_mpmath(self):
+    @classmethod
+    def family(cls, name):
+        """The reference fit, or a family of the fit's mean with ``sigma`` from ``name``."""
+        fit = cls.reference_family()
+        if name == "fit":
+            return fit
+        sigma = float(name.removeprefix("sigma-"))
+        return LogNormal(math.log(fit.mean()) - 0.5 * sigma * sigma, sigma)
+
+    @staticmethod
+    def mpmath_log_rows(fam, s, delays):
+        """Logs of ``[L, W, D_d per delay]`` at ``s`` from 40-digit Gauss-Legendre pieces.
+
+        The pieces tile ``[z* - 12, z* + sigma + 12]`` in ``z = (log lam -
+        mu) / sigma`` from the plain integrand's mode ``z* = -w / sigma``,
+        ``w = W0(s sigma^2 e^mu)``; each is ``min(1 / sigma, 1 / sqrt(1 +
+        w))`` wide and takes 12 nodes, so no piece holds more than one
+        transition of the integrand.  48 nodes on pieces 0.4 times as wide
+        and a 16-wide margin give the same values in double precision.
+        """
         import mpmath
 
-        fam = self.reference_family()
-        tr = fam
-        log_w, log_l, dec = tr.log_rows(np.array(self.S), self.DELAYS)
-        with mpmath.workdps(30):
-            mu, sigma = mpmath.mpf(fam.mu), mpmath.mpf(fam.sigma)
-
-            def expect(s, factor, extra=()):
-                s = mpmath.mpf(s)
-
-                def f(z):
+        with mpmath.workdps(40):
+            mu, sigma, s = (mpmath.mpf(v) for v in (fam.mu, fam.sigma, s))
+            w = mpmath.lambertw(s * sigma**2 * mpmath.exp(mu)).real
+            width = min(1 / sigma, 1 / mpmath.sqrt(1 + w))
+            rule = mpmath.calculus.quadrature.GaussLegendre(mpmath.mp).calc_nodes(3, mpmath.mp.prec)
+            ds = [mpmath.mpf(d) for d in delays]
+            sums = [mpmath.mpf(0)] * (2 + len(ds))
+            lo = -w / sigma - 12
+            for k in range(int((24 + sigma) / width) + 1):
+                for x, weight in rule:
+                    z = lo + width * (k + (x + 1) / 2)
                     lam = mpmath.exp(mu + sigma * z)
-                    return mpmath.npdf(z) * factor(lam) * mpmath.exp(-s * lam)
+                    p = weight * mpmath.npdf(z) * mpmath.exp(-s * lam)
+                    terms = [p, p * lam, *(p * -mpmath.expm1(-d * lam) for d in ds)]
+                    sums = [a + b for a, b in zip(sums, terms)]
+            return [float(mpmath.log(v * width / 2)) for v in sums]
 
-                # break where s*lam and d*lam cross 1, so tanh-sinh sees
-                # each transition at a node boundary
-                knees = [(-mpmath.log(k) - mu) / sigma for k in (s, *extra) if k > 0]
-                edges = sorted({-40, -8, -2, 0, 2, 8, 40, *(float(k) for k in knees if -40 < k < 40)})
-                return mpmath.quad(f, edges)
+    def assert_rows_match_mpmath(self, fam, s):
+        log_w, log_l, dec = fam.log_rows(np.array([s]), self.DELAYS)
+        got = [log_l[0], log_w[0], *(log_l[0] + np.log(-np.expm1(dec[0])))]
+        want = self.mpmath_log_rows(fam, s, self.DELAYS)
+        # logs equal to 1e-10 are values equal to 1e-10 relative, however small
+        assert np.allclose(got, want, rtol=0.0, atol=1e-10), (got, want)
 
-            for i, s in enumerate(self.S):
-                refs = [
-                    ("L", math.exp(log_l[i]), expect(s, lambda lam: 1), 1e-18),
-                    ("W", math.exp(log_w[i]), expect(s, lambda lam: lam), 1e-18 * fam.mean()),
-                ]
-                for j, d in enumerate(self.DELAYS):
-                    drop = expect(s, lambda lam: -mpmath.expm1(-d * lam), (d,))
-                    got = math.exp(log_l[i]) * -math.expm1(dec[i, j])
-                    refs.append((f"D_{d!r}", got, drop, 1e-18))
-                for name, got, ref, floor in refs:
-                    ref = float(ref)
-                    assert abs(got - ref) <= max(floor, 1e-10 * abs(ref)), (name, s)
+    @pytest.mark.parametrize(
+        "name, s_mean",
+        [("fit", 1e-2), ("fit", 1e8)]
+        + [(name, s_mean) for name in ("fit", "sigma-0.5", "sigma-3") for s_mean in (0.0, 1.0, 1e4, 1e12)],
+    )
+    def test_components_against_mpmath(self, name, s_mean):
+        fam = self.family(name)
+        self.assert_rows_match_mpmath(fam, s_mean / fam.mean())
+
+    @pytest.mark.parametrize(
+        "fam, s",
+        [
+            (LogNormal(-10.0, 0.1), 1e3 / LogNormal(-10.0, 0.1).mean()),
+            (LogNormal(-10.0, 0.1), 1e4 / LogNormal(-10.0, 0.1).mean()),
+            ("fit", 1e10),
+            ("fit", 1e12),
+        ],
+    )
+    def test_tails_below_the_former_absolute_floor(self, fam, s):
+        # a nested adaptive integral with a 1e-18 absolute floor returned
+        # log L = -325.839 and -inf for the first two, and L 0.7 % high and
+        # 85 % low for the fit
+        self.assert_rows_match_mpmath(self.family(fam) if fam == "fit" else fam, s)
+
+    def test_one_batch_from_zero_past_the_cutoff(self):
+        # one nested adaptive integral over this batch ran out of segments
+        fam = self.reference_family()
+        s = np.array([0.0, 1e-4, 1e-2, 1.0, 1e2, 1e4, 1e6, 1e8]) / fam.mean()
+        log_w, log_l, dec = fam.log_rows(s, self.DELAYS)
+        for i, si in enumerate(s):
+            one_w, one_l, one_dec = fam.log_rows(np.array([si]), self.DELAYS)
+            assert np.allclose([log_w[i], log_l[i]], [one_w[0], one_l[0]], rtol=0.0, atol=1e-12)
+            assert np.allclose(dec[i], one_dec[0], rtol=1e-12, atol=0.0)
+        assert np.all(dec < 0.0)
+
+    def test_subnormal_argument(self):
+        fam = self.reference_family()
+        assert laplace(fam, 5e-324) == pytest.approx(1.0, rel=0.0, abs=1e-15)
+        assert laplace_weighted(fam, 5e-324) == pytest.approx(fam.mean(), rel=1e-14)
+
+    def test_node_budget(self):
+        # sigma = 100 would need about 40,000 nodes; an overflowed argument, infinitely many
+        with pytest.raises(NonConvergent, match="nodes"):
+            LogNormal(-5000.0, 100.0).log_laplace(np.array([1.0]))
+        with pytest.raises(NonConvergent, match="nodes"):
+            self.reference_family().log_laplace(np.array([0.0, np.inf]))
+
+    def test_wide_family_raises_no_floating_point_warning(self):
+        from forkcast.forkrate import fork_rate_iid
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = fork_rate_iid(LogNormal(-400.0, 28.0), 35, 1.0)
+        assert 0.0 < res.error_estimate < res.value
 
     def test_single_quantity_methods_are_views_of_the_fused_rows(self):
         tr = self.reference_family()
