@@ -182,12 +182,17 @@ def taylor_fork_rate(lambda_total: float, hhi_value: float, delta0: float) -> Fo
 def _curve(raw, err, method: str, echo: str, delays) -> list[ForkRateResult]:
     """One result per delay, ``echo`` completed with the delay.
 
-    Quadrature noise just outside [0, 1] is clamped; larger excursions are rejected.
+    Quadrature noise just outside [0, 1] is clamped; larger excursions are
+    rejected.  Every caller has at least two miners, so at a delay above 0
+    an exact zero with a zero error estimate means every integrand value
+    underflowed, and is rejected too.
     """
     slack, results = 10.0 * REL_TOL, []
     for value, error, d in zip(raw.tolist(), err.tolist(), delays):
         if value < -slack or value > 1.0 + slack:
             raise NonConvergent(f"fork rate {value!r} leaves [0, 1] beyond tolerance")
+        if value == 0.0 and error == 0.0 and d > 0.0:
+            raise NonConvergent(f"every integrand value underflowed at delta0={d!r}")
         clamped = min(max(value, 0.0), 1.0)
         results.append(ForkRateResult(clamped, method, error, f"{echo}, delta0={d!r}"))
     return results

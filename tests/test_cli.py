@@ -210,6 +210,14 @@ class TestForkrateCommand:
         assert code in (2, 3)
         assert name in err and "internal error" not in err
 
+    def test_underflowing_integral_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "m.json"
+        path.write_text('{"kind": "iid-null", "n": 35, '
+                        '"family": {"kind": "lognormal", "mu": -1800, "sigma": 60}}')
+        code, out, err = run_cli(capsys, "forkrate", "--model", str(path), "--delta0", "1")
+        assert code == 3 and out == ""
+        assert "underflowed" in err
+
 
 class TestSimulateCommand:
     def test_seed_repeat_byte_identical(self, fitted_exp_model, capsys):

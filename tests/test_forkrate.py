@@ -701,3 +701,35 @@ class TestInvariants:
                 miners.total, hhi(miners.shares), d0
             ).value
             assert abs(approx - exact) / exact <= tau
+
+
+_families = st.one_of(
+    st.floats(1e3, 1e6).map(Exponential),
+    st.builds(LogNormal, st.floats(-14.0, -8.0), st.floats(0.3, 2.5)),
+    st.builds(TruncatedPowerLaw, st.floats(-0.9, 0.9), st.floats(1e3, 1e5)),
+)
+_delays = st.lists(st.floats(1e-3, 1e2), min_size=2, max_size=5)
+
+
+class TestProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(family=_families, n=st.integers(2, 50), delays=_delays)
+    def test_curve_lies_in_unit_interval_and_never_decreases(self, family, n, delays):
+        curve = fork_rate_curve(IIDNull(family, n), sorted(delays))
+        assert all(0.0 <= r.value <= 1.0 for r in curve)
+        # the BLAS product in a GK segment may round equal delays an ulp apart
+        assert all(a.value <= b.value + a.error_estimate + b.error_estimate
+                   for a, b in zip(curve, curve[1:]))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        counts=st.lists(st.integers(0, 500), min_size=2, max_size=50).filter(any),
+        d0=st.floats(1e-3, 1e2),
+        data=st.data(),
+    )
+    def test_inid_ignores_miner_order(self, counts, d0, data):
+        gamma = sum(counts) / 1.7e-3
+        shuffled = data.draw(st.permutations(counts))
+        a = fork_rate_semi_empirical(SemiEmpiricalINID(BlockCounts(counts), gamma), d0)
+        b = fork_rate_semi_empirical(SemiEmpiricalINID(BlockCounts(shuffled), gamma), d0)
+        assert a.value == b.value

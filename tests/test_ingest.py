@@ -17,6 +17,7 @@ from forkcast.errors import (
 from forkcast.forkrate import conditional_fork_rate
 from forkcast.estimate import estimate_hash_rates
 from forkcast.ingest import (
+    _CHUNK_ROWS,
     FORK_RATE_RESCALE,
     bits_to_expected_hashes,
     build_period_record,
@@ -333,6 +334,50 @@ class TestParsers:
             parse_blocks_csv(p)
         assert err.value.line == line
         assert str(err.value).startswith(f"{p}:{line}:")
+
+    def test_first_bad_row_in_file_order_across_columns(self, tmp_path):
+        p = tmp_path / "blocks.csv"
+        p.write_text(f"{BLOCK_FIELDS}\n1,2,0x1d00ffff,a\n2,3,0xzz,b\nx,4,0x1d00ffff,c\n")
+        with pytest.raises(ParseError, match="0xzz") as err:
+            parse_blocks_csv(p)
+        assert err.value.line == 3
+
+    def test_bad_value_before_a_reader_error_is_reported(self, tmp_path):
+        rows = [BLOCK_FIELDS] + [f"{i},{1700000000 + 600 * i},0x1d00ffff,m" for i in range(9)]
+        rows[2] = "x,1700001200,0x1d00ffff,m"
+        rows[9] = "8,1700004800,0x1d00ffff," + "m" * 200_000  # beyond the field size limit
+        p = tmp_path / "blocks.csv"
+        p.write_text("\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match="bad row: invalid literal") as err:
+            parse_blocks_csv(p)
+        assert err.value.line == 3
+
+    def test_bad_value_before_a_later_non_utf8_byte_is_reported(self, tmp_path):
+        rows = [BLOCK_FIELDS.encode()]
+        rows += [b"%d,%d,0x1d00ffff,miner-%d" % (i, 1700000000 + 600 * i, i % 7)
+                 for i in range(600)]
+        rows[2] = b"x,1700001200,0x1d00ffff,miner-2"
+        rows[-1] += b"\xff"
+        p = tmp_path / "blocks.csv"
+        p.write_bytes(b"\n".join(rows) + b"\n")
+        assert p.read_bytes().index(b"\xff") > 8192
+        with pytest.raises(ParseError, match="invalid literal") as err:
+            parse_blocks_csv(p)
+        assert err.value.line == 3
+
+    def test_bad_value_after_a_chunk_boundary_reports_its_line(self, tmp_path):
+        rows = [f"{i},{1700000000 + 600 * i},0x1d00ffff,m" for i in range(_CHUNK_ROWS + 5)]
+        rows[10] += "\n"  # one blank line
+        rows[20] = f'20,{1700000000 + 600 * 20},0x1d00ffff,"two\nlines"'
+        rows[_CHUNK_ROWS - 1] += "\n\n"  # two blank lines
+        rows[_CHUNK_ROWS] = f"{_CHUNK_ROWS},1700000000,0xzz,m"
+        p = tmp_path / "blocks.csv"
+        p.write_text(BLOCK_FIELDS + "\n" + "\n".join(rows) + "\n")
+        with pytest.raises(ParseError, match="0xzz") as err:
+            parse_blocks_csv(p)
+        # the header, the rows up to and including this one, and 4 more
+        # lines: 3 blank and 1 inside a quoted field
+        assert err.value.line == 1 + _CHUNK_ROWS + 1 + 4
 
     def test_missing_column(self, tmp_path):
         p = tmp_path / "bad.csv"
