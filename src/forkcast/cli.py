@@ -128,8 +128,17 @@ def model_from_json(doc: dict) -> HashRateModel:
 
 
 def _load_model(path: str) -> HashRateModel:
+    """The model in a JSON file; a document of the wrong shape is a :class:`ParseError`."""
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_json(json.load(fh))
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ParseError(path, 0, f"a model is a JSON object, got a {type(doc).__name__}")
+    try:
+        return model_from_json(doc)
+    except KeyError as exc:
+        raise ParseError(path, 0, f"the model lacks the key {exc.args[0]!r}") from None
+    except (AttributeError, TypeError) as exc:
+        raise ParseError(path, 0, f"malformed model: {exc}") from None
 
 
 def _counts_from_blocks(path: str) -> BlockCounts:

@@ -42,6 +42,7 @@ from .errors import (
     DegenerateHHI,
     DegenerateMinerSet,
     InvalidDelay,
+    InvalidModel,
     NonConvergent,
     ShareSumViolation,
     check_positive,
@@ -157,7 +158,7 @@ def pdf_delta_conditional(miners: MinerSet, delta: float) -> float:
 def taylor_fork_rate(lambda_total: float, hhi_value: float, delta0: float) -> ForkRateResult:
     """First-order fork rate ``delta0 * lambda_total * (1 - HHI)``, clamped to [0, 1]."""
     if not (0.0 < hhi_value <= 1.0):
-        raise ValueError(f"hhi must lie in (0, 1], got {hhi_value}")
+        raise InvalidModel(f"hhi must lie in (0, 1], got {hhi_value}")
     check_delay(delta0)
     check_rate(lambda_total)
     raw = delta0 * lambda_total * (1.0 - hhi_value)
@@ -202,7 +203,7 @@ def _delay_grid(delays) -> tuple[tuple, np.ndarray]:
     """Validate every delay before any integration; returns them and their array."""
     delays = tuple(delays)
     if not delays:
-        raise ValueError("the delay grid is empty")
+        raise InvalidDelay("the delay grid is empty")
     for d in delays:
         check_delay(d)
     return delays, np.asarray(delays, dtype=float)
@@ -211,10 +212,10 @@ def _delay_grid(delays) -> tuple[tuple, np.ndarray]:
 def _log_rows(t, x: np.ndarray, delays: np.ndarray):
     """``(log W, log L, log-decrements)`` of transform ``t`` at ``x``.
 
-    The decrements gain a last axis, one entry per delay.  A transform
-    with a fused ``log_rows`` evaluation supplies all three at once;
-    otherwise the single-quantity methods are called, the decrement once
-    per delay.
+    The decrements gain a last axis, one entry per delay.  Every
+    in-package transform supplies all three with one ``log_rows`` call; a
+    foreign :class:`.model.INIDNull` member with only the single-quantity
+    methods is called once per quantity, the decrement once per delay.
     """
     fused = getattr(t, "log_rows", None)
     if fused is not None:
@@ -367,18 +368,22 @@ def fork_rate(model: HashRateModel, delta0: float) -> ForkRateResult:
 # ---------------------------------------------------------------------------
 
 
+def _check_fork_rate(value: float) -> None:
+    check_delay(value, "fork rate")
+    if not value < 1.0:
+        raise InvalidDelay(f"fork rate must lie in [0, 1), got {value}")
+
+
 def implied_delta0(
     fork_rate_value: float, lambda_total: float, hhi_value: float
 ) -> ImpliedResult:
     """Propagation delay that reproduces a fork rate at first order."""
-    check_delay(fork_rate_value, "fork rate")
-    if not (fork_rate_value < 1.0):
-        raise ValueError(f"fork rate must lie in [0, 1), got {fork_rate_value}")
+    _check_fork_rate(fork_rate_value)
     check_rate(lambda_total)
     if hhi_value >= 1.0:
         raise DegenerateHHI("a single-miner market implies no forks at any delay")
     if not (0.0 < hhi_value):
-        raise ValueError(f"hhi must lie in (0, 1), got {hhi_value}")
+        raise InvalidModel(f"hhi must lie in (0, 1), got {hhi_value}")
     value = fork_rate_value / (lambda_total * (1.0 - hhi_value))
     return ImpliedResult(value=value, valid=0.0 <= value < math.inf)
 
@@ -391,13 +396,11 @@ def implied_hhi(
     A result below 0 (the observed fork rate is too high for the assumed
     delay) or above 1 is reported with ``valid=False`` rather than raised.
     """
-    check_delay(fork_rate_value, "fork rate")
-    if not (fork_rate_value < 1.0):
-        raise ValueError(f"fork rate must lie in [0, 1), got {fork_rate_value}")
+    _check_fork_rate(fork_rate_value)
     check_rate(lambda_total)
     check_delay(delta0)
     if delta0 == 0.0:
-        raise ValueError("delta0 must be > 0 to imply a concentration")
+        raise InvalidDelay("delta0 must be > 0 to imply a concentration")
     tau = check_positive(delta0 * lambda_total, "delta0 * lambda_total", InvalidDelay)
     value = 1.0 - fork_rate_value / tau
     return ImpliedResult(value=value, valid=0.0 <= value <= 1.0)

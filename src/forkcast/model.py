@@ -150,7 +150,8 @@ class INIDNull:
     A member is a null family, a point mass, a posterior transform (an
     array-valued one is one miner per count) or any hashable object with
     ``log_laplace``, ``log_laplace_weighted``, ``log_laplace_decrement``
-    and ``mean``; equal members are grouped.
+    and ``mean``, which the in-package ones derive from a fused
+    ``log_rows``; equal members are grouped.
     """
 
     families: tuple[NullFamily, ...]

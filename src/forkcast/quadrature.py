@@ -26,12 +26,13 @@ This module provides
   broadcast call.
 
 Products of many transform factors are accumulated as sums of logarithms
-(miner counts can reach hundreds, which would underflow in linear space),
-and every transform exposes a ``log_laplace_decrement`` that evaluates
-``log L(s + d) - log L(s)`` to full relative precision.  The decrement is
-what keeps small fork rates (1e-5 and below) accurate: fork probabilities
-are integrals of *differences* of transform products, and forming those
-differences naively would lose all significant digits.
+(miner counts can reach hundreds, which would underflow in linear space).
+Every transform defines one ``log_rows(s, delays)``: ``log W``, ``log L``
+and, per delay, the decrement ``log L(s + d) - log L(s)`` to full relative
+precision, of which ``log_laplace``, ``log_laplace_weighted`` and
+``log_laplace_decrement`` are views.  The decrement keeps small fork rates
+(1e-5 and below) accurate: fork probabilities are integrals of
+*differences* of transform products, which naively lose every digit.
 """
 
 from __future__ import annotations
@@ -122,20 +123,25 @@ _WEIGHTS_G = np.zeros(15)
 _WEIGHTS_G[1:14:2] = np.concatenate(
     [_G7_HALF_WEIGHTS[:-1], _G7_HALF_WEIGHTS[::-1]]
 )
-_G_MASK = _WEIGHTS_G != 0.0
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 
 def _gk_segment(f: Integrand, a: float, b: float):
-    """Evaluate one K15 segment; returns (k15, |k15 - g7| per component)."""
+    """Evaluate one K15 segment; returns (k15, |k15 - g7| per component).
+
+    Each component is a running sum over the nodes in one fixed order, so
+    equal components sum equally however many there are (``np.sum`` sums a
+    lone component pairwise).
+    """
     half = 0.5 * (b - a)
     pts = 0.5 * (a + b) + half * _NODES
     vals = np.asarray(f(pts), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise NonFinite(f"integrand non-finite on [{a!r}, {b!r}]")
-    k15 = half * np.tensordot(_WEIGHTS_K, vals, axes=(0, 0))
-    g7 = half * np.tensordot(_WEIGHTS_G[_G_MASK], vals[_G_MASK], axes=(0, 0))
+    col = (-1,) + (1,) * (vals.ndim - 1)
+    k15 = half * np.cumsum(_WEIGHTS_K.reshape(col) * vals, axis=0)[-1]
+    g7 = half * np.cumsum(_WEIGHTS_G.reshape(col) * vals, axis=0)[-1]
     return k15, np.abs(k15 - g7)
 
 
@@ -219,25 +225,37 @@ def integrate_semi_infinite(f: Integrand, *, scale: float = 1.0) -> float:
 # ---------------------------------------------------------------------------
 
 
-class _GammaForm:
+class _Transform:
+    """Single-quantity views of the fused ``log_rows(s, delays)`` a transform defines.
+
+    ``log_rows`` returns ``(log W, log L, log-decrements)`` at ``s``; the
+    decrements gain a last axis, one entry per delay.
+    """
+
+    def log_laplace(self, s: np.ndarray) -> np.ndarray:
+        return self.log_rows(s, ())[1]
+
+    def log_laplace_weighted(self, s: np.ndarray) -> np.ndarray:
+        return self.log_rows(s, ())[0]
+
+    def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
+        return self.log_rows(s, (d,))[2][..., 0]
+
+
+class _GammaForm(_Transform):
     """Log-domain transforms of a Gamma law with ``shape`` and rate ``beta``.
 
     Shared by the exponential (shape 1, where multiplying by the shape is
     exact and ``log(1) == 0``) and the truncated power law.
     """
 
-    def log_laplace(self, s: np.ndarray) -> np.ndarray:
-        return self.shape * (math.log(self.beta) - np.log(self.beta + s))
-
-    def log_laplace_weighted(self, s: np.ndarray) -> np.ndarray:
-        return (
-            math.log(self.shape)
-            + self.shape * math.log(self.beta)
-            - (self.shape + 1.0) * np.log(self.beta + s)
-        )
-
-    def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
-        return -self.shape * np.log1p(d / (self.beta + s))
+    def log_rows(self, s: np.ndarray, delays: Sequence[float]):
+        k, beta = self.shape, self.beta
+        beta_s = beta + np.asarray(s, dtype=float)
+        log_bs = np.log(beta_s)
+        log_w = math.log(k) + k * math.log(beta) - (k + 1.0) * log_bs
+        dec = -k * np.log1p(np.ravel(delays) / beta_s[..., None])
+        return log_w, k * (math.log(beta) - log_bs), dec
 
 
 @dataclass(frozen=True)
@@ -285,12 +303,11 @@ def _lambert_w0(log_x: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LogNormal:
+class LogNormal(_Transform):
     """Log-normal hash-rate family: log(lam) ~ Normal(mu, sigma^2).
 
-    Its transforms have no closed form.  :meth:`log_rows` is the fused
-    evaluation the fork-rate engine calls once per outer integrand
-    evaluation; the single-quantity methods are views of it.
+    Its transforms have no closed form; :meth:`log_rows` sums them on one
+    trapezoid grid per argument.
     """
 
     mu: float
@@ -353,15 +370,6 @@ class LogNormal:
             sums = _logsumexp(np.concatenate([plain, plain + log_lam, plain + log_drop], axis=2))
             log_h = math.log(h)
             return sums[:, 1] + log_h, sums[:, 0] + log_h, np.log1p(-np.exp(sums[:, 2:] - sums[:, :1]))
-
-    def log_laplace(self, s: np.ndarray) -> np.ndarray:
-        return self.log_rows(s, ())[1]
-
-    def log_laplace_weighted(self, s: np.ndarray) -> np.ndarray:
-        return self.log_rows(s, ())[0]
-
-    def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
-        return self.log_rows(s, (d,))[2][:, 0]
 
 
 # The benchmark probe (``perfbench/probe.py``) constructs
@@ -460,20 +468,17 @@ def posterior_laplace_weighted(b: float, gamma: float, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-class PointMassTransform:
+class PointMassTransform(_Transform):
     """Degenerate transform of a known, fixed rate."""
 
     def __init__(self, rate: float):
         self.rate = check_positive(rate, "point-mass rate", InvalidFamily)
 
-    def log_laplace(self, s: np.ndarray) -> np.ndarray:
-        return -self.rate * np.asarray(s, dtype=float)
-
-    def log_laplace_weighted(self, s: np.ndarray) -> np.ndarray:
-        return math.log(self.rate) - self.rate * np.asarray(s, dtype=float)
-
-    def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
-        return np.full_like(np.atleast_1d(np.asarray(s, dtype=float)), -self.rate * d)
+    def log_rows(self, s: np.ndarray, delays: Sequence[float]):
+        rate_s = self.rate * np.asarray(s, dtype=float)
+        d = np.ravel(delays)
+        dec = np.full(rate_s.shape + d.shape, -self.rate * d)
+        return math.log(self.rate) - rate_s, -rate_s, dec
 
     def mean(self) -> float:
         return self.rate
@@ -482,10 +487,10 @@ class PointMassTransform:
         return np.full(size, self.rate)
 
 
-class PosteriorTransform:
+class PosteriorTransform(_Transform):
     """Block-count posterior transforms of one miner or a group of miners.
 
-    ``blocks`` is a scalar count or a 1-D array of counts.  Every method
+    ``blocks`` is a scalar count or a 1-D array of counts.  Every transform
     broadcasts to shape ``blocks.shape + s.shape``: one row per count.
     """
 
@@ -496,26 +501,19 @@ class PosteriorTransform:
         self.blocks = blocks
         self.gamma = check_positive(gamma, "posterior gamma", InvalidFamily)
 
-    def _counts_and_u(self, s: np.ndarray):
-        """Counts shaped to broadcast against ``s``, and ``u(s)``."""
+    def log_rows(self, s: np.ndarray, delays: Sequence[float]):
+        """``u(s) = sqrt(1 + 2s/gamma)`` is formed once for ``W``, ``L`` and every delay."""
         s = np.asarray(s, dtype=float)
+        b = self.blocks.reshape(self.blocks.shape + (1,) * s.ndim)
         u = np.sqrt(1.0 + 2.0 * s / self.gamma)
-        return self.blocks.reshape(self.blocks.shape + (1,) * s.ndim), u
-
-    def log_laplace(self, s: np.ndarray) -> np.ndarray:
-        b, u = self._counts_and_u(s)
-        return b * (1.0 - u) - np.log(u)
-
-    def log_laplace_weighted(self, s: np.ndarray) -> np.ndarray:
-        b, u = self._counts_and_u(s)
-        return np.log1p(b * u) + b * (1.0 - u) - math.log(self.gamma) - 3.0 * np.log(u)
-
-    def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
-        b, u1 = self._counts_and_u(s)
-        step = 2.0 * d / self.gamma
+        log_u, kernel = np.log(u), b * (1.0 - u)
+        log_w = np.log1p(b * u) + kernel - math.log(self.gamma) - 3.0 * log_u
+        step = 2.0 * np.ravel(delays) / self.gamma
+        u1 = u[..., None]
         u2 = np.sqrt(u1 * u1 + step)
         # u1 - u2 formed through the difference of squares: no cancellation
-        return -b * step / (u1 + u2) - 0.5 * np.log1p(step / (u1 * u1))
+        dec = -b[..., None] * step / (u1 + u2) - 0.5 * np.log1p(step / (u1 * u1))
+        return log_w, kernel - log_u, dec
 
     def mean(self):
         return (1.0 + self.blocks) / self.gamma
@@ -547,7 +545,7 @@ def _logsumexp(rows: np.ndarray, axis: int = 0) -> np.ndarray:
     return np.where(np.isfinite(m), out, m)
 
 
-class MixtureTransform:
+class MixtureTransform(_Transform):
     """Mixture of the rows of an array-valued posterior transform, weighted by multiplicity.
 
     ``components`` returns one row per component (shape
@@ -561,29 +559,14 @@ class MixtureTransform:
         self.mult = np.asarray(mult)
         self.log_weights = np.log(self.mult / self.mult.sum())[:, None]
 
-    def log_laplace(self, s: np.ndarray) -> np.ndarray:
-        return _logsumexp(self.components.log_laplace(s) + self.log_weights)
-
-    def log_laplace_weighted(self, s: np.ndarray) -> np.ndarray:
-        return _logsumexp(self.components.log_laplace_weighted(s) + self.log_weights)
-
     def log_rows(self, s: np.ndarray, delays: Sequence[float]):
-        """``(log W, log L, log-decrements)`` at ``s``; decrements gain a last delay axis.
-
-        The components' plain transform is evaluated once for all delays.
-        """
-        log_l = self.components.log_laplace(s) + self.log_weights
+        """One evaluation of the components' rows serves ``W``, ``L`` and every delay."""
+        comp_w, comp_l, comp_dec = self.components.log_rows(np.atleast_1d(s), delays)
+        log_l = comp_l + self.log_weights
         a = np.exp(log_l - np.max(log_l, axis=0))
-        total = np.sum(a, axis=0)
-        drops = [
-            np.sum(a * -np.expm1(self.components.log_laplace_decrement(s, d)), axis=0)
-            for d in delays
-        ]
-        log_dec = np.log1p(-np.stack(drops, axis=-1) / total[..., None])
-        return self.log_laplace_weighted(s), _logsumexp(log_l), log_dec
-
-    def log_laplace_decrement(self, s: np.ndarray, d: float) -> np.ndarray:
-        return self.log_rows(s, (d,))[2][..., 0]
+        drops = np.sum(a[..., None] * -np.expm1(comp_dec), axis=0)
+        log_dec = np.log1p(-drops / np.sum(a, axis=0)[..., None])
+        return _logsumexp(comp_w + self.log_weights), _logsumexp(log_l), log_dec
 
     def mean(self) -> float:
         return float(np.sum(np.exp(self.log_weights[:, 0]) * self.components.mean()))

@@ -99,6 +99,13 @@ DERIVED = [
     ("tpl fit beta", lambda: method_of_moments(MomentPair(1.0, 1e-170), "tpl")),
     ("LogNormal sigma", lambda: method_of_moments(MomentPair(1.0, 1e155), "lognormal")),
     ("delta0 * lambda_total", lambda: implied_hhi(0.1, 1e-200, 1e-200)),
+    ("hhi must lie in (0, 1]", lambda: taylor_fork_rate(1e-3, 0.0, 1.0)),
+    ("hhi must lie in (0, 1]", lambda: taylor_fork_rate(1e-3, 1.5, 1.0)),
+    ("hhi must lie in (0, 1)", lambda: implied_delta0(0.1, 1e-3, 0.0)),
+    ("fork rate must lie in [0, 1)", lambda: implied_delta0(1.0, 1e-3, 0.5)),
+    ("fork rate must lie in [0, 1)", lambda: implied_hhi(1.0, 1e-3, 1.0)),
+    ("delta0 must be > 0", lambda: implied_hhi(0.1, 1e-3, 0.0)),
+    ("delay grid is empty", lambda: fork_rate_curve(MODEL, ())),
     ("blocks", lambda: PosteriorTransform(np.array([np.inf, 1.0]), 1.0)),
     ("blocks", lambda: PosteriorTransform(np.array([np.nan, 1.0]), 1.0)),
     ("transform argument s", lambda: laplace(Exponential(1.0), math.nan)),

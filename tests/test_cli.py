@@ -218,6 +218,22 @@ class TestForkrateCommand:
         assert code == 3 and out == ""
         assert "underflowed" in err
 
+    @pytest.mark.parametrize("doc, message", [
+        ('{"kind": "iid-null", "n": 35, "family": {"kind": "exp"}}', "lacks the key 'rate'"),
+        ('{"kind": "semi-iid", "gamma": 1e6}', "lacks the key 'counts'"),
+        ('{"kind": "iid-null", "family": {"kind": "exp", "rate": 2e4}}', "lacks the key 'n'"),
+        ('[{"kind": "iid-null", "n": 35}]', "a model is a JSON object, got a list"),
+        ('{"kind": "fixed", "lambdas": 3}', "malformed model"),
+    ])
+    @pytest.mark.parametrize("command", [["forkrate"], ["simulate", "--rounds", "10", "--seed", "1"]])
+    def test_malformed_model_exits_2_naming_the_fault(self, tmp_path, capsys, doc, message,
+                                                      command):
+        path = tmp_path / "m.json"
+        path.write_text(doc)
+        code, out, err = run_cli(capsys, *command, "--model", str(path), "--delta0", "1")
+        assert code == 2 and out == ""
+        assert f"{path}:0: " in err and message in err
+
 
 class TestSimulateCommand:
     def test_seed_repeat_byte_identical(self, fitted_exp_model, capsys):

@@ -301,6 +301,33 @@ class TestINIDForkRate:
         with pytest.raises(InvalidModel, match="lacks __hash__"):
             INIDNull([Exponential(2e4), Unhashable(1e-4)])
 
+    def test_member_with_only_the_single_quantity_methods(self):
+        class Forwarding:
+            """A foreign member: the three log transforms and ``mean``, and no ``log_rows``."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def log_laplace(self, s):
+                return self.inner.log_laplace(s)
+
+            def log_laplace_weighted(self, s):
+                return self.inner.log_laplace_weighted(s)
+
+            def log_laplace_decrement(self, s, d):
+                return self.inner.log_laplace_decrement(s, d)
+
+            def mean(self):
+                return self.inner.mean()
+
+        gamma, grid = 1.17647e7, (0.815, 2.0, 9.0)
+        bare = [PosteriorTransform(b, gamma) for b in (400, 250, 250, 90, 9, 1, 0)]
+        want = fork_rate_curve(INIDNull(bare), grid)
+        got = fork_rate_curve(INIDNull([Forwarding(t) for t in bare]), grid)
+        assert [(r.value, r.error_estimate) for r in got] == [
+            (r.value, r.error_estimate) for r in want
+        ]
+
 
 class TestSemiEmpirical:
     def test_equal_counts_iid_equals_inid(self):
@@ -455,6 +482,19 @@ class TestForkRateCurve:
         with pytest.raises(ValueError, match="empty"):
             fork_rate_curve(CURVE_MODELS["exp"], ())
 
+    def test_equal_delays_give_equal_rates(self):
+        curve = [r.value for r in fork_rate_curve(IIDNull(Exponential(1000.0), 4), [1, 1, 1, 3, 3])]
+        assert curve[0] == curve[1] == curve[2] and curve[3] == curve[4]
+
+    @pytest.mark.parametrize("name", sorted(CURVE_MODELS))
+    @pytest.mark.parametrize("d0", [0.01, 3.0])
+    def test_repeated_delay_equals_the_lone_delay(self, name, d0):
+        # twin columns refine like the lone one, and each GK segment sums
+        # every column node by node in one order, whatever the column count
+        lone = fork_rate_curve(CURVE_MODELS[name], [d0])[0]
+        for res in fork_rate_curve(CURVE_MODELS[name], [d0, d0]):
+            assert (res.value, res.error_estimate) == (lone.value, lone.error_estimate)
+
     @pytest.mark.parametrize("members", ["iid", "equal-inid"])
     @pytest.mark.parametrize("m", [1, 3, 7])
     def test_lognormal_one_log_rows_call_per_outer_evaluation(self, m, members, monkeypatch):
@@ -547,7 +587,7 @@ class TestPopulationIntegral:
     def test_mixture_components_evaluated_once_per_integrand_call(self, m, monkeypatch):
         calls = {"integrand": 0, "components": 0}
         real_segment = quadrature._gk_segment
-        real_log_laplace = PosteriorTransform.log_laplace
+        real_log_rows = PosteriorTransform.log_rows
 
         def segment(f, a, b):
             def counted(x):
@@ -556,12 +596,12 @@ class TestPopulationIntegral:
 
             return real_segment(counted, a, b)
 
-        def log_laplace(self, s):
+        def log_rows(self, s, delays):
             calls["components"] += 1
-            return real_log_laplace(self, s)
+            return real_log_rows(self, s, delays)
 
         monkeypatch.setattr(quadrature, "_gk_segment", segment)
-        monkeypatch.setattr(PosteriorTransform, "log_laplace", log_laplace)
+        monkeypatch.setattr(PosteriorTransform, "log_rows", log_rows)
         counts = BlockCounts([600, 250, 100, 50, 50, 0, 0, 1])
         grid = np.geomspace(1e-3, 30.0, m)
         curve = fork_rate_curve(SemiEmpiricalIID(counts, 1.2e7), grid)

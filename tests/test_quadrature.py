@@ -493,15 +493,6 @@ class TestLogNormalOracle:
             res = fork_rate_iid(LogNormal(-400.0, 28.0), 35, 1.0)
         assert 0.0 < res.error_estimate < res.value
 
-    def test_single_quantity_methods_are_views_of_the_fused_rows(self):
-        tr = self.reference_family()
-        s = np.array([0.0, 1e3, 1e6])
-        log_w, log_l, dec = tr.log_rows(s, (0.815,))
-        assert np.array_equal(tr.log_laplace(s), log_l)
-        assert np.array_equal(tr.log_laplace_weighted(s), log_w)
-        assert np.array_equal(tr.log_laplace_decrement(s, 0.815), dec[:, 0])
-        assert np.array_equal(tr.log_laplace_decrement(s, 0.0), np.zeros(3))
-
     def test_fork_rate_at_micro_delay_within_error_estimate(self):
         # Reference from nested mpmath.quad at 20 digits (about 80 s):
         #   L(x), W(x), D(x) = mpmath.quad over z in [-40, -8, -2, 0, 2, 8, 40] of
@@ -513,3 +504,43 @@ class TestLogNormalOracle:
 
         res = fork_rate_iid(self.reference_family(), 35, 1e-6)
         assert abs(res.value - 1.5082795646174628e-9) <= res.error_estimate
+
+
+class TestTransformProtocol:
+    """Every in-package transform defines ``log_rows``; the single-quantity methods are views."""
+
+    GAMMA = 1.17647e7
+    DELAYS = (1e-4, 0.815, 9.0)
+    TRANSFORMS = {
+        "exp": Exponential(2.0e4),
+        "tpl": TruncatedPowerLaw(0.75, 5000.0),
+        "lognormal": TestLogNormalOracle.reference_family(),
+        "point-mass": PointMassTransform(1e-3),
+        "posterior": PosteriorTransform(3.0, GAMMA),
+        "posterior-array": PosteriorTransform(np.array([0.0, 3.0, 600.0]), GAMMA),
+        "mixture": posterior_mixture([600, 250, 250, 90, 9, 1, 0], GAMMA),
+    }
+
+    @pytest.mark.parametrize("s", [np.array([0.0, 0.5, 50.0, 5e4]), 0.5], ids=["1-d", "scalar"])
+    @pytest.mark.parametrize("name", sorted(TRANSFORMS))
+    def test_views_equal_the_rows(self, name, s):
+        tr = self.TRANSFORMS[name]
+        log_w, log_l, dec = tr.log_rows(s, self.DELAYS)
+        assert log_w.shape == log_l.shape and dec.shape == log_l.shape + (len(self.DELAYS),)
+        assert np.array_equal(tr.log_laplace(s), log_l)
+        assert np.array_equal(tr.log_laplace_weighted(s), log_w)
+        for j, d in enumerate(self.DELAYS):
+            assert np.array_equal(tr.log_laplace_decrement(s, d), dec[..., j])
+        assert np.array_equal(tr.log_laplace_decrement(s, 0.0), np.zeros_like(log_l))
+
+    @pytest.mark.parametrize("name", sorted(TRANSFORMS))
+    def test_no_transform_redefines_a_view(self, name):
+        for view in ("log_laplace", "log_laplace_weighted", "log_laplace_decrement"):
+            assert getattr(type(self.TRANSFORMS[name]), view) is getattr(quadrature._Transform, view)
+
+    def test_mixture_at_a_scalar_argument(self):
+        counts, gamma, s = [5, 3, 3, 0], 1e6, 0.5
+        want = np.mean([posterior_laplace(b, gamma, s) for b in counts])
+        mix = posterior_mixture(counts, gamma)
+        assert laplace(mix, s) == pytest.approx(want, rel=1e-14)
+        assert mix.log_laplace_decrement(s, 1.0).shape == (1,)
