@@ -24,6 +24,7 @@ from pathlib import Path
 from . import __version__
 from .errors import ForkcastError, ParseError
 from .estimate import (
+    FAMILY_KINDS,
     add_zero_miners,
     confidence_band,
     estimate_hash_rates,
@@ -137,7 +138,10 @@ def _load_model(path: str) -> HashRateModel:
         return model_from_json(doc)
     except KeyError as exc:
         raise ParseError(path, 0, f"the model lacks the key {exc.args[0]!r}") from None
-    except (AttributeError, TypeError) as exc:
+    except ForkcastError:
+        raise  # a parameter out of its range
+    except (AttributeError, TypeError, ValueError) as exc:
+        # an unknown model or family kind, or a value that is not a number
         raise ParseError(path, 0, f"malformed model: {exc}") from None
 
 
@@ -400,12 +404,25 @@ def _report_csv_rows(doc: dict):
                 )
 
 
+_PIPELINE_FAMILIES = FAMILY_KINDS + ("semi", "semi-iid", "semi-inid")
+
+
+def _families(text: str) -> list[str]:
+    """The ``--families`` list; an unknown name is a usage error, found before any ingest."""
+    families = [f.strip() for f in text.split(",") if f.strip()]
+    unknown = [f for f in families if f not in _PIPELINE_FAMILIES]
+    if unknown:
+        raise argparse.ArgumentTypeError(
+            f"unknown {', '.join(unknown)}; use {', '.join(_PIPELINE_FAMILIES)}"
+        )
+    return families
+
+
 def cmd_pipeline(args) -> int:
     blocks = parse_blocks_csv(args.blocks)
     stales = parse_stale_csv(args.stale)
     propagation = parse_propagation_csv(args.propagation)
     hashrate = parse_hashrate_csv(args.hashrate)
-    families = [f.strip() for f in args.families.split(",") if f.strip()]
 
     periods, remainder = segment_periods(blocks, args.period_length)
     if not periods:
@@ -417,7 +434,7 @@ def cmd_pipeline(args) -> int:
     for idx, chunk in enumerate(periods):
         try:
             record = build_period_record(chunk, stales, propagation, hashrate, idx)
-            entries.append(_period_entry(record, families))
+            entries.append(_period_entry(record, args.families))
         except ForkcastError as exc:
             entries.append({"index": idx, "error": str(exc)})
 
@@ -435,7 +452,7 @@ def cmd_pipeline(args) -> int:
         },
         "period_length": args.period_length,
         "remainder_blocks": len(remainder),
-        "families": families,
+        "families": args.families,
         "periods": entries,
     }
 
@@ -529,7 +546,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--propagation", required=True)
     p.add_argument("--hashrate", required=True)
     p.add_argument("--out", required=True, help="report JSON path (CSV twin beside it)")
-    p.add_argument("--families", default="exp,lognormal,tpl,semi")
+    p.add_argument("--families", type=_families, default="exp,lognormal,tpl,semi")
     p.add_argument("--period-length", type=int, default=PERIOD_LENGTH)
     p.set_defaults(func=cmd_pipeline)
 

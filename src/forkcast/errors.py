@@ -27,7 +27,11 @@ class InvalidFamily(ForkcastError, ValueError):
 
 
 class InvalidModel(ForkcastError, ValueError):
-    """A hash-rate model is unusable (e.g. a sampled rate is non-positive)."""
+    """A hash-rate model, or a computation asked of it, is unusable.
+
+    For example a sampled rate is non-positive, a fork-rate method is
+    unknown, or a simulation or confidence band has too few rounds or draws.
+    """
 
 
 class InvalidDelay(ForkcastError, ValueError):

@@ -17,7 +17,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import AllZero, DegenerateMinerSet, InvalidModel, InvalidMoments, check_positive
+from .errors import (
+    AllZero,
+    DegenerateMinerSet,
+    InvalidFamily,
+    InvalidModel,
+    InvalidMoments,
+    check_positive,
+)
 from .forkrate import _delay_grid, fork_rate_curve
 from .model import BlockCounts, IIDNull, MinerSet, check_rate
 from .quadrature import Exponential, LogNormal, NullFamily, TruncatedPowerLaw
@@ -151,7 +158,7 @@ def method_of_moments(mp: MomentPair, family_kind: str) -> NullFamily:
         alpha = 1.0 - ratio * ratio
         beta = check_positive(mp.m / var if var else math.inf, "tpl fit beta", InvalidMoments)
         return TruncatedPowerLaw(alpha=alpha, beta=beta)
-    raise ValueError(f"unknown family kind {family_kind!r}; use one of {FAMILY_KINDS}")
+    raise InvalidFamily(f"unknown family kind {family_kind!r}; use one of {FAMILY_KINDS}")
 
 
 def estimator_uncertainty(
@@ -201,10 +208,10 @@ def confidence_band(
     capped at 10x the requested sample count.
     """
     if n_samples < 100:
-        raise ValueError(f"n_samples must be >= 100, got {n_samples}")
+        raise InvalidModel(f"n_samples must be >= 100, got {n_samples}")
     low, high = percentiles
     if not (0.0 < low < high < 100.0):
-        raise ValueError(f"percentiles must satisfy 0 < low < high < 100, got {percentiles}")
+        raise InvalidModel(f"percentiles must satisfy 0 < low < high < 100, got {percentiles}")
     grid, _ = _delay_grid(float(d) for d in delta0_grid)
 
     mp = fit_moments(counts, lambda_total)

@@ -42,6 +42,7 @@ from .errors import (
     DegenerateHHI,
     DegenerateMinerSet,
     InvalidDelay,
+    InvalidFamily,
     InvalidModel,
     NonConvergent,
     ShareSumViolation,
@@ -293,12 +294,12 @@ def _iid_curve(model: IIDNull, delays, method: str):
         method = "closed_form" if has_closed_form else "quadrature"
     if method == "closed_form":
         if not has_closed_form:
-            raise ValueError(f"no closed form for {type(family).__name__}")
+            raise InvalidFamily(f"no closed form for {type(family).__name__}")
         raw, err = _closed_form_integral(family, n, grid)
     elif method == "quadrature":
         raw, err = _population_integral([family], [n], grid)
     else:
-        raise ValueError(f"unknown method {method!r}")
+        raise InvalidModel(f"unknown method {method!r}")
     return _curve(raw, err, method, f"iid {family!r}, n={n}", delays)
 
 

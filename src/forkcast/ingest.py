@@ -17,10 +17,14 @@ to a ``{date: rate}`` dict.  Integers must fit in int64.  Period
 statistics take a slice of the block array.
 
 Parsers are total: a malformed line raises a :class:`ParseError` carrying
-the file path and line number, never a partial result.  ``csv.reader``
-splits the rows; they are taken in chunks, and each column of a chunk is
-converted in one pass.  No line numbers are kept: a file that is rejected
-is re-scanned to find the line of its first bad row.
+the file path and line number, never a partial result.  The body is read
+in chunks of whole lines.  A plain chunk (no quotes, CRs, NULs or blank
+lines, and the header's field count on every line) is split with one
+``str.split``, which is how ``csv.reader`` splits such text; from the
+first chunk that is not plain, ``csv.reader`` splits the rest of the file.
+Each column of a chunk is converted in one pass.  No line numbers are
+kept: a file that is rejected is re-scanned to find the line of its first
+bad row.
 """
 
 from __future__ import annotations
@@ -65,6 +69,12 @@ _SECONDS_PER_DAY = 86_400
 # non-blank rows per column-at-once conversion; a small chunk stays in cache
 # (on a 2-vCPU x86_64 VM, 512 parsed 120,000 blocks about 15 % faster than 4,096)
 _CHUNK_ROWS = 512
+# characters per plain chunk, read as whole lines and split with str.split;
+# memory stays bounded by the chunk, not the file
+_CHUNK_CHARS = 1 << 16
+# UTF-8 bytes other than the comma, the newline and the three characters
+# that make csv.reader split differently from str.split
+_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b',\n"\r\0')
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
@@ -141,20 +151,52 @@ def _convert(path: str | Path, chunk: list, picks: list, fields: list):
         raise
 
 
-def _read_csv(
-    path: str | Path, columns: Mapping[str, tuple[Callable[[str], object], object]]
-) -> np.recarray:
-    """Record array of the named columns of a CSV file with a header row.
+def _extend_plain(lines: list[str], width: int, picks: list, fields: list) -> bool:
+    """Extend each field from a chunk of plain lines; False leaves ``fields`` as it was.
 
-    ``columns`` maps each required name to a field converter and a dtype.
-    Non-blank rows are read in chunks of :data:`_CHUNK_ROWS` and converted
-    a column at a time.  A converter's ``ValueError``, a row too short for
-    a named column, a ``csv.Error``, bytes that are not UTF-8 and an
-    integer outside the dtype raise :class:`ParseError` at the row's line.
+    A chunk is plain when it has no quote, CR or NUL, no blank line, no
+    line longer than the csv field size limit and exactly ``width`` fields
+    on every line.  ``csv.reader`` splits such text exactly as
+    ``str.split(",")`` does, so the chunk is split once and each column is
+    a strided slice.  A chunk that is not plain, or holds a value that a
+    converter rejects, is left to ``csv.reader``.
+    """
+    text = "".join(lines)
+    if text[-1] != "\n":  # the last line of a file with no final newline
+        text += "\n"
+    limit = csv.field_size_limit()
+    if len(text) > limit and max(map(len, lines)) > limit:
+        return False
+    # the commas and newlines in order, and any quote, CR or NUL: a short
+    # row next to a long one shows here, where a total count would hide it
+    separators = text.encode().translate(None, _NOT_SEPARATORS)
+    if separators != (b"," * (width - 1) + b"\n") * len(lines) or "\n" in lines:
+        return False
+    # the final newline leaves one empty string past the last row
+    cells = text.replace("\n", ",").split(",")
+    end = len(lines) * width
+    start = len(fields[0])
+    try:
+        for field, (i, convert) in zip(fields, picks):
+            field.extend(map(convert, cells[i:end:width]))
+    except ValueError:
+        for field in fields:
+            del field[start:]
+        return False
+    return True
+
+
+def _read_fields(path: str | Path, columns: Mapping, plain: bool) -> list[list]:
+    """One list per named column of the rows of a CSV file; see :func:`_read_csv`.
+
+    With ``plain``, the body is read in chunks of about :data:`_CHUNK_CHARS`
+    and each plain chunk is split by :func:`_extend_plain`.  The first chunk
+    that is not plain, and the rest of the file, go through ``csv.reader``.
     """
     fname = str(path)
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
+        offset = 0  # lines read before the current reader's first
         try:
             header = next(reader, None)
             if header is None:
@@ -165,6 +207,12 @@ def _read_csv(
                 raise ParseError(fname, 1, f"missing column(s) {', '.join(missing)}")
             picks = [(position[c], convert) for c, (convert, _) in columns.items()]
             fields = [[] for _ in picks]
+            offset, lines = reader.line_num, []
+            while plain and (lines := fh.readlines(_CHUNK_CHARS)):
+                if not _extend_plain(lines, len(header), picks, fields):
+                    break
+                offset += len(lines)
+            reader = csv.reader(itertools.chain(lines, fh))
             rows = filter(None, reader)
             while True:
                 chunk = []
@@ -177,16 +225,40 @@ def _read_csv(
                 if len(chunk) < _CHUNK_ROWS:
                     break
         except csv.Error as exc:
-            raise ParseError(fname, reader.line_num, f"bad row: {exc}") from exc
-        except UnicodeDecodeError as exc:
-            # the decoder reads ahead in chunks: find the line in the raw bytes
-            data = Path(path).read_bytes()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as whole:
-                exc = whole
-            line = data.count(b"\n", 0, exc.start) + 1
-            raise ParseError(fname, line, f"not UTF-8: {exc.reason}") from None
+            raise ParseError(fname, offset + reader.line_num, f"bad row: {exc}") from exc
+    return fields
+
+
+def _read_csv(
+    path: str | Path, columns: Mapping[str, tuple[Callable[[str], object], object]]
+) -> np.recarray:
+    """Record array of the named columns of a CSV file with a header row.
+
+    ``columns`` maps each required name to a field converter and a dtype.
+    Plain chunks of the body are split with ``str.split``; quoted or
+    irregular text goes to ``csv.reader``, whose non-blank rows are taken
+    in chunks of :data:`_CHUNK_ROWS`.  Either way each column of a chunk is
+    converted in one pass.  A converter's ``ValueError``, a row too short
+    for a named column, a ``csv.Error``, bytes that are not UTF-8 and an
+    integer outside the dtype raise :class:`ParseError` at the row's line.
+    """
+    fname = str(path)
+    try:
+        try:
+            fields = _read_fields(path, columns, plain=True)
+        except UnicodeDecodeError:
+            # the error drops the lines of the plain chunk being read: a pass
+            # through csv.reader alone reports a bad value among them first
+            fields = _read_fields(path, columns, plain=False)
+    except UnicodeDecodeError as exc:
+        # the decoder reads ahead in chunks: find the line in the raw bytes
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as whole:
+            exc = whole
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(fname, line, f"not UTF-8: {exc.reason}") from None
     # np.rec.fromarrays allocates with np.empty, many times slower than
     # np.zeros when a field holds objects
     records = np.zeros(len(fields[0]), [(c, dtype) for c, (_, dtype) in columns.items()])

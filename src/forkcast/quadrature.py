@@ -127,21 +127,30 @@ _WEIGHTS_G[1:14:2] = np.concatenate(
 Integrand = Callable[[np.ndarray], np.ndarray]
 
 
-def _gk_segment(f: Integrand, a: float, b: float):
-    """Evaluate one K15 segment; returns (k15, |k15 - g7| per component).
+def _gk_segment(f: Integrand, edges: Sequence[float]):
+    """Evaluate K15 on the segments between consecutive ``edges`` in one call of ``f``.
 
-    Each component is a running sum over the nodes in one fixed order, so
-    equal components sum equally however many there are (``np.sum`` sums a
-    lone component pairwise).
+    Returns ``(k15, |k15 - g7|)``, each with one row per segment and one
+    column per component.  Each component of a segment is a running sum
+    over its nodes in one fixed order, so equal components sum equally
+    however many there are (``np.sum`` sums a lone component pairwise).
     """
+    edges = np.asarray(edges, dtype=float)
+    a, b = edges[:-1, None], edges[1:, None]
     half = 0.5 * (b - a)
     pts = 0.5 * (a + b) + half * _NODES
-    vals = np.asarray(f(pts), dtype=float)
-    if not np.all(np.isfinite(vals)):
-        raise NonFinite(f"integrand non-finite on [{a!r}, {b!r}]")
-    col = (-1,) + (1,) * (vals.ndim - 1)
-    k15 = half * np.cumsum(_WEIGHTS_K.reshape(col) * vals, axis=0)[-1]
-    g7 = half * np.cumsum(_WEIGHTS_G.reshape(col) * vals, axis=0)[-1]
+    vals = np.asarray(f(pts.ravel()), dtype=float)
+    vals = vals.reshape(pts.shape + vals.shape[1:])
+    finite = np.isfinite(vals).reshape(len(pts), -1).all(axis=1)
+    if not finite.all():
+        k = finite.argmin()
+        lo, hi = edges[k : k + 2].tolist()
+        raise NonFinite(f"integrand non-finite on [{lo!r}, {hi!r}]")
+    # one entry per segment or node, broadcast over the components
+    col = (-1,) + (1,) * (vals.ndim - 2)
+    half = half.reshape(col)
+    k15 = half * np.cumsum(_WEIGHTS_K.reshape(col) * vals, axis=1)[:, -1]
+    g7 = half * np.cumsum(_WEIGHTS_G.reshape(col) * vals, axis=1)[:, -1]
     return k15, np.abs(k15 - g7)
 
 
@@ -151,18 +160,17 @@ def _adaptive(f: Integrand, edges: Sequence[float]):
     ``f`` maps an array of points to values of shape ``(npoints,)`` or
     ``(npoints, m)``; all ``m`` components are refined until each meets
     ``max(ABS_TOL, REL_TOL * |I|)``.  Returns ``(value, error)`` with
-    matching shapes.
+    matching shapes.  The initial segments share one call of ``f``, and
+    so do the two halves of each split.
     """
-    heap = []
-    counter = 0
-    total_val = None
-    total_err = None
-    for a, b in zip(edges[:-1], edges[1:]):
-        val, err = _gk_segment(f, a, b)
-        total_val = val if total_val is None else total_val + val
-        total_err = err if total_err is None else total_err + err
-        heapq.heappush(heap, (-float(np.max(err)), counter, a, b, val, err))
-        counter += 1
+    vals, errs = _gk_segment(f, edges)
+    total_val, total_err = vals.sum(axis=0), errs.sum(axis=0)
+    heap = [
+        (-float(np.max(err)), counter, a, b, val, err)
+        for counter, (a, b, val, err) in enumerate(zip(edges[:-1], edges[1:], vals, errs))
+    ]
+    heapq.heapify(heap)
+    counter = len(heap)
 
     n_segments = len(edges) - 1
     while True:
@@ -176,8 +184,7 @@ def _adaptive(f: Integrand, edges: Sequence[float]):
             )
         _, _, a, b, val, err = heapq.heappop(heap)
         mid = 0.5 * (a + b)
-        val_l, err_l = _gk_segment(f, a, mid)
-        val_r, err_r = _gk_segment(f, mid, b)
+        (val_l, val_r), (err_l, err_r) = _gk_segment(f, (a, mid, b))
         total_val = total_val - val + val_l + val_r
         total_err = total_err - err + err_l + err_r
         heapq.heappush(heap, (-float(np.max(err_l)), counter, a, mid, val_l, err_l))

@@ -54,14 +54,14 @@ class SimConfig:
         for name in ("rounds", "seed", "threads"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise ValueError(f"{name} must be an int, got {value!r}")
+                raise InvalidModel(f"{name} must be an int, got {value!r}")
         if self.rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {self.rounds}")
+            raise InvalidModel(f"rounds must be >= 1, got {self.rounds}")
         if not 0 <= self.seed < 1 << 128:
-            raise ValueError(f"seed must lie in [0, 2**128), got {self.seed}")
+            raise InvalidModel(f"seed must lie in [0, 2**128), got {self.seed}")
         check_delay(self.delta0)
         if self.threads < 0:
-            raise ValueError(f"threads must be >= 0, got {self.threads}")
+            raise InvalidModel(f"threads must be >= 0, got {self.threads}")
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,13 @@ import numpy as np
 import pytest
 
 from forkcast.errors import ForkcastError
-from forkcast.estimate import MomentPair, estimate_hash_rates, fit_moments, method_of_moments
+from forkcast.estimate import (
+    MomentPair,
+    confidence_band,
+    estimate_hash_rates,
+    fit_moments,
+    method_of_moments,
+)
 from forkcast.forkrate import (
     fork_rate,
     fork_rate_curve,
@@ -41,6 +47,7 @@ from forkcast.quadrature import (
     laplace,
     laplace_weighted,
 )
+from forkcast.simulate import SimConfig
 
 BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324]
 COUNTS = BlockCounts([3, 5, 0, 9])
@@ -113,6 +120,26 @@ DERIVED = [
     ("transform argument s", lambda: laplace(Exponential(1.0), -1.0)),
 ]
 
+# other checks at the public boundary: (text in the message, call)
+CHECKS = [
+    ("no closed form for LogNormal",
+     lambda: fork_rate_iid(LogNormal(0.0, 1.0), 5, 1.0, method="closed_form")),
+    ("unknown method 'simpson'", lambda: fork_rate_iid(Exponential(2e4), 5, 1.0, method="simpson")),
+    ("unknown family kind 'weibull'", lambda: method_of_moments(MomentPair(1.0, 1.0), "weibull")),
+    ("rounds must be an int", lambda: SimConfig(MODEL, 1.0, 10.0, 0)),
+    ("seed must be an int", lambda: SimConfig(MODEL, 1.0, 10, True)),
+    ("rounds must be >= 1", lambda: SimConfig(MODEL, 1.0, 0, 0)),
+    ("seed must lie in [0, 2**128)", lambda: SimConfig(MODEL, 1.0, 10, -1)),
+    ("seed must lie in [0, 2**128)", lambda: SimConfig(MODEL, 1.0, 10, 1 << 128)),
+    ("threads must be >= 0", lambda: SimConfig(MODEL, 1.0, 10, 0, threads=-1)),
+    ("n_samples must be >= 100",
+     lambda: confidence_band(COUNTS, 1e-3, "exp", [1.0], n_samples=99)),
+    ("percentiles must satisfy",
+     lambda: confidence_band(COUNTS, 1e-3, "exp", [1.0], 100, percentiles=(95.0, 5.0))),
+    ("percentiles must satisfy",
+     lambda: confidence_band(COUNTS, 1e-3, "exp", [1.0], 100, percentiles=(0.0, 95.0))),
+]
+
 
 def _cases():
     for i, (name, call) in enumerate(POSITIVE):
@@ -124,6 +151,8 @@ def _cases():
                 yield pytest.param(name, lambda call=call, x=x: call(x), id=f"z{i}-{name}-{x!r}")
     for i, (name, call) in enumerate(DERIVED):
         yield pytest.param(name, call, id=f"d{i}-{name}")
+    for i, (name, call) in enumerate(CHECKS):
+        yield pytest.param(name, call, id=f"c{i}-{name}")
 
 
 @pytest.mark.parametrize("name, call", list(_cases()))

@@ -4,6 +4,7 @@ import math
 import jsonschema
 import pytest
 
+from forkcast import cli
 from forkcast.cli import main, model_from_json, model_to_json
 from forkcast.forkrate import conditional_fork_rate, fork_rate_iid, taylor_fork_rate
 from forkcast.model import Fixed, IIDNull, MinerSet, SemiEmpiricalIID, BlockCounts
@@ -224,6 +225,11 @@ class TestForkrateCommand:
         ('{"kind": "iid-null", "family": {"kind": "exp", "rate": 2e4}}', "lacks the key 'n'"),
         ('[{"kind": "iid-null", "n": 35}]', "a model is a JSON object, got a list"),
         ('{"kind": "fixed", "lambdas": 3}', "malformed model"),
+        ('{"kind": "mystery"}', "unknown model kind 'mystery'"),
+        ('{"kind": "iid-null", "n": 35, "family": {"kind": "gamma"}}',
+         "unknown family kind 'gamma'"),
+        ('{"kind": "iid-null", "n": 35, "family": {"kind": "exp", "rate": "fast"}}',
+         "malformed model: could not convert"),
     ])
     @pytest.mark.parametrize("command", [["forkrate"], ["simulate", "--rounds", "10", "--seed", "1"]])
     def test_malformed_model_exits_2_naming_the_fault(self, tmp_path, capsys, doc, message,
@@ -375,6 +381,21 @@ class TestPipelineCommand:
         _, doc = report
         for name in ("blocks", "stale", "propagation", "hashrate"):
             assert len(doc["inputs"][name]["sha256"]) == 64
+
+    def test_unknown_family_exits_2_before_any_ingest(self, tmp_path, capsys, monkeypatch):
+        def parse(path):
+            raise AssertionError("ingest ran")
+
+        monkeypatch.setattr(cli, "parse_blocks_csv", parse)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "pipeline", "--blocks", "b.csv", "--stale", "s.csv",
+                "--propagation", "p.csv", "--hashrate", "h.csv",
+                "--out", str(tmp_path / "report.json"), "--families", "exp,gamma",
+            ])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--families: unknown gamma" in err and "semi-inid" in err
 
     def test_empty_stale_file(self, tmp_path, dataset_dir, capsys):
         empty = tmp_path / "stale.csv"

@@ -589,12 +589,12 @@ class TestPopulationIntegral:
         real_segment = quadrature._gk_segment
         real_log_rows = PosteriorTransform.log_rows
 
-        def segment(f, a, b):
+        def segment(f, edges):
             def counted(x):
                 calls["integrand"] += 1
                 return f(x)
 
-            return real_segment(counted, a, b)
+            return real_segment(counted, edges)
 
         def log_rows(self, s, delays):
             calls["components"] += 1

@@ -1,10 +1,11 @@
+import csv
 import datetime as dt
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from forkcast.errors import (
@@ -17,7 +18,10 @@ from forkcast.errors import (
 from forkcast.forkrate import conditional_fork_rate
 from forkcast.estimate import estimate_hash_rates
 from forkcast.ingest import (
+    _CHUNK_CHARS,
     _CHUNK_ROWS,
+    _bits,
+    _read_csv,
     FORK_RATE_RESCALE,
     bits_to_expected_hashes,
     build_period_record,
@@ -485,6 +489,135 @@ class TestParsers:
         p = tmp_path / "blocks.csv"
         p.write_text(f"height,timestamp,bits,miner_id\n7,1700000000,{text},alice\n")
         assert parse_blocks_csv(p)[0].bits == bits
+
+
+def _filler(i):
+    """A plain block row of exactly 32 characters with its newline."""
+    return f"{i:06d},{1700000000 + 600 * i},0x1d00ffff,m{i % 7}\n"
+
+
+FILLER_PER_CHUNK = _CHUNK_CHARS // len(_filler(0))
+
+
+def _oracle_blocks(path):
+    """Rows or the line of the first bad row, by ``csv.reader`` on every row."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader)
+        at = [header.index(c) for c in BLOCK_FIELDS.split(",")]
+        rows = []
+        try:
+            for row in reader:
+                if row:
+                    height, stamp, bits, miner = (row[i] for i in at)
+                    rows.append((int(height), int(stamp), _bits(bits), miner.strip()))
+        except (IndexError, ValueError, csv.Error):
+            return reader.line_num
+    return rows
+
+
+# one irregular row or line, written with its own line ending
+IRREGULAR = st.one_of(
+    st.sampled_from([
+        '7,1700000000,0x1d00ffff,"a,b"',  # quoted comma
+        '7,1700000000,0x1d00ffff,"two\nlines"',  # quoted newline
+        '"7",1700000000,0x1d00ffff,q',
+        '7,1700000000,0x1d00ffff,"q"',
+        "",  # blank line
+        " 7 , 1700000000 , 0x1d00ffff , padded ",
+        "7,1700000000,0x1d00ffff,m,8",  # long row
+        "7,1700000000,0x1d00ffff",  # short row
+        "7,1700000000,0x1d00ffff,nul\x00",
+        "x,1700000000,0x1d00ffff,m",  # bad value
+        "7,1700000000,0xzz,m",
+    ]),
+    st.builds(lambda i: _filler(i).rstrip("\n"), st.integers(0, 99_999)),
+)
+ENDING = st.sampled_from(["\n", "\n", "\r\n", "\r"])
+
+
+class TestPlainChunks:
+    """Plain chunks split with ``str.split`` parse exactly as ``csv.reader`` rows."""
+
+    @given(
+        before=st.one_of(st.integers(0, 5), st.integers(FILLER_PER_CHUNK - 6, FILLER_PER_CHUNK + 3)),
+        irregular=st.lists(st.tuples(IRREGULAR, ENDING), max_size=6),
+        after=st.sampled_from([0, 1, FILLER_PER_CHUNK + 2]),
+        final_newline=st.booleans(),
+    )
+    @example(before=FILLER_PER_CHUNK - 1,
+             irregular=[("7,1700000000,0x1d00ffff,m,8", "\n"),
+                        ("7,1700000000,0x1d00ffff", "\n")], after=3, final_newline=True)
+    @example(before=FILLER_PER_CHUNK + 1, irregular=[('7,1700000000,0x1d00ffff,"q"', "\n")],
+             after=0, final_newline=False)
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_as_csv_reader(self, tmp_path, before, irregular, after, final_newline):
+        text = BLOCK_FIELDS + "\n" + "".join(map(_filler, range(before)))
+        text += "".join(row + end for row, end in irregular)
+        text += "".join(map(_filler, range(before, before + after)))
+        if not final_newline:
+            text = text.rstrip("\n")
+        p = tmp_path / "blocks.csv"
+        p.write_bytes(text.encode())
+        expected = _oracle_blocks(p)
+        if isinstance(expected, int):
+            with pytest.raises(ParseError) as err:
+                parse_blocks_csv(p)
+            assert err.value.line == expected
+        else:
+            assert _rows(parse_blocks_csv(p)) == expected
+
+    def test_short_row_next_to_a_long_one(self, tmp_path):
+        # 4 + 6 fields split as two rows of the header's 5 would convert
+        # without error: only a per-line count sends this chunk to csv.reader
+        p = tmp_path / "blocks.csv"
+        p.write_text(f"{BLOCK_FIELDS},note\n1,2,3,a\n4,5,6,7,8,9\n")
+        assert _rows(parse_blocks_csv(p)) == [(1, 2, 3, "a"), (4, 5, 6, "7")]
+
+    def test_oversized_field_after_plain_chunks_reports_its_line(self, tmp_path):
+        rows = [_filler(i) for i in range(3 * FILLER_PER_CHUNK)]
+        k = 2 * FILLER_PER_CHUNK + 10
+        rows[k] = rows[k].replace("m", "m" * 200_000)  # beyond the field size limit
+        p = tmp_path / "blocks.csv"
+        p.write_text(BLOCK_FIELDS + "\n" + "".join(rows))
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            parse_blocks_csv(p)
+        assert err.value.line == k + 2
+
+    def test_bad_value_before_a_non_utf8_byte_in_the_same_chunk(self, tmp_path):
+        rows = [_filler(i).encode() for i in range(3 * FILLER_PER_CHUNK)]
+        bad, byte = FILLER_PER_CHUNK + 50, FILLER_PER_CHUNK + 900
+        rows[bad] = b"x" + rows[bad][1:]
+        rows[byte] = rows[byte].replace(b"m", b"\xff")
+        p = tmp_path / "blocks.csv"
+        p.write_bytes(BLOCK_FIELDS.encode() + b"\n" + b"".join(rows))
+        # the two rows share one plain chunk but not one decoder read-ahead
+        assert 8192 < (byte - bad) * len(rows[0]) < _CHUNK_CHARS
+        with pytest.raises(ParseError, match="invalid literal") as err:
+            parse_blocks_csv(p)
+        assert err.value.line == bad + 2
+
+    def test_lowered_field_size_limit_is_honoured(self, tmp_path):
+        rows = [_filler(i) for i in range(100)]
+        rows[60] = rows[60].replace("m", "m" * 40)
+        p = tmp_path / "blocks.csv"
+        p.write_text(BLOCK_FIELDS + "\n" + "".join(rows))
+        old = csv.field_size_limit(24)
+        try:
+            with pytest.raises(ParseError, match="field larger than field limit") as err:
+                parse_blocks_csv(p)
+        finally:
+            csv.field_size_limit(old)
+        assert err.value.line == 62
+        assert len(parse_blocks_csv(p)) == 100
+
+    @pytest.mark.parametrize("text", ["name\na\n\nb\n", "name\r\na\r\nb\r\n"])
+    def test_blank_line_and_crlf_with_an_unstripped_column(self, tmp_path, text):
+        # the ingest converters strip fields, which would hide both
+        p = tmp_path / "names.csv"
+        p.write_bytes(text.encode())
+        assert _read_csv(p, {"name": (str, object)}).name.tolist() == ["a", "b"]
 
 
 class TestBuildPeriodRecord:
