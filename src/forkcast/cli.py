@@ -418,6 +418,17 @@ def _families(text: str) -> list[str]:
     return families
 
 
+def _period_length(text: str) -> int:
+    """The ``--period-length``: an integer >= 1, a usage error found before any ingest."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def cmd_pipeline(args) -> int:
     blocks = parse_blocks_csv(args.blocks)
     stales = parse_stale_csv(args.stale)
@@ -547,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hashrate", required=True)
     p.add_argument("--out", required=True, help="report JSON path (CSV twin beside it)")
     p.add_argument("--families", type=_families, default="exp,lognormal,tpl,semi")
-    p.add_argument("--period-length", type=int, default=PERIOD_LENGTH)
+    p.add_argument("--period-length", type=_period_length, default=PERIOD_LENGTH)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -269,7 +269,7 @@ def add_zero_miners(counts: BlockCounts, n_zero: int) -> BlockCounts:
     enlarged miner set.
     """
     if n_zero < 0:
-        raise ValueError(f"n_zero must be >= 0, got {n_zero}")
+        raise InvalidModel(f"n_zero must be >= 0, got {n_zero}")
     if n_zero == 0:
         return counts
     return BlockCounts(counts.counts + (0,) * n_zero)

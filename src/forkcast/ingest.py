@@ -42,7 +42,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .errors import EmptyPeriod, InvalidBits, NonContiguous, ParseError
+from .errors import EmptyPeriod, InvalidBits, InvalidModel, NonContiguous, ParseError
 from .model import BlockCounts, PeriodRecord
 
 __all__ = [
@@ -331,10 +331,11 @@ def segment_periods(
 
     Returns ``(periods, remainder)`` as slices of ``blocks``; the trailing
     partial window is kept out of the statistics.  Raises
+    :class:`InvalidModel` for ``period_len < 1`` and
     :class:`NonContiguous` at the first height gap.
     """
     if period_len < 1:
-        raise ValueError(f"period_len must be >= 1, got {period_len}")
+        raise InvalidModel(f"period_len must be >= 1, got {period_len}")
     heights = blocks["height"]
     gaps = np.flatnonzero(np.diff(heights) != 1)
     if gaps.size:

@@ -531,13 +531,18 @@ class PosteriorTransform(_Transform):
         return self.sample_counts(rng, np.broadcast_to(counts, size).copy())
 
     def sample_counts(self, rng: np.random.Generator, b: np.ndarray) -> np.ndarray:
-        """One draw per entry of the float count array ``b``, written over it.
+        """One draw per entry of the float count array ``b``, which it may overwrite.
 
         A rate's reciprocal is inverse Gaussian with mean gamma/b and shape
         gamma (one ``wald`` call for every b > 0); at b = 0 the rate is
-        Gamma(1/2, rate gamma/2) (one ``gamma`` call).  Drawing in place
-        keeps a chunk's peak memory at four arrays of its size.
+        Gamma(1/2, rate gamma/2) (one ``gamma`` call).  When every count is
+        positive the means and the reciprocals are formed in place, so a
+        chunk's peak memory is two arrays of its size: ``b`` and the draws.
+        Only a zero count adds the boolean gather and scatter.
         """
+        if b.all():
+            draws = rng.wald(np.divide(self.gamma, b, out=b), self.gamma)
+            return np.reciprocal(draws, out=draws)
         pos = b > 0
         b[pos] = 1.0 / rng.wald(self.gamma / b[pos], self.gamma)
         b[~pos] = rng.gamma(0.5, 2.0 / self.gamma, size=b.size - np.count_nonzero(pos))

@@ -13,6 +13,14 @@ Reproducibility contract: rounds are partitioned into fixed-size chunks
 chunk ``k`` draws from an independent counter-based stream derived from
 ``(seed, k)`` (Philox, jumped).  Partial results are reduced in chunk
 order, so the outcome is bit-identical for any thread count.
+
+Within a chunk the stream is consumed in a fixed order: first every rate
+of the chunk, then the exponential solve times, row block by row block
+(``BLOCK_ELEMENTS`` draws a block, rows in order).  Each block is divided
+by its rates, partitioned and counted in place while it is in cache, so
+only the rate matrix is full-size: a worker thread peaks at about one
+chunk array (two while a posterior model draws its rates), plus one
+fastest time per round.
 """
 
 from __future__ import annotations
@@ -31,6 +39,7 @@ __all__ = ["SimConfig", "SimOutcome", "simulate_fork_rate", "simulate_min_time"]
 
 CHUNK_ROUNDS = 1 << 16
 CHUNK_ELEMENTS = 1 << 22
+BLOCK_ELEMENTS = 1 << 16  # exponentials per row block: 512 KiB, cache-resident
 
 
 @dataclass(frozen=True)
@@ -107,20 +116,35 @@ def _sample_rates(pop, rng: np.random.Generator, rounds: int) -> np.ndarray:
         start += k
         size = (rounds, cols.size)
         draws.append(t.sample(rng, size) if k == 1 else t.sample(rng, size, rows=cols))
-    rates = np.hstack(draws)
-    if not np.all(np.isfinite(rates)) or np.any(rates <= 0):
+    rates = draws[0] if len(draws) == 1 else np.hstack(draws)
+    if not (rates.min() > 0 and rates.max() < math.inf):  # NaN fails both
         raise InvalidModel("sampled a non-positive or non-finite hash rate")
     return rates
 
 
 def _run_chunk(pop, fixed_rates, delta0: float, rng: np.random.Generator, rounds: int):
-    """``(forks, sum of first solve times)`` over ``rounds`` rounds."""
-    rates = _sample_rates(pop, rng, rounds) if fixed_rates is None else fixed_rates
-    times = rng.standard_exponential((rounds, rates.shape[-1])) / rates
-    two_fastest = np.partition(times, 1, axis=1)[:, :2]
-    gaps = two_fastest[:, 1] - two_fastest[:, 0]
-    n_fork = int(np.count_nonzero(gaps < delta0))
-    return n_fork, float(two_fastest[:, 0].sum())
+    """``(forks, sum of first solve times)`` over ``rounds`` rounds.
+
+    The rates come first; the exponentials then continue the same stream
+    in row blocks of about ``BLOCK_ELEMENTS``.  The fastest times of all
+    blocks are summed once, so the sum does not depend on the block size.
+    """
+    if fixed_rates is None:
+        rates = _sample_rates(pop, rng, rounds)
+    else:
+        rates = np.broadcast_to(fixed_rates, (rounds, fixed_rates.shape[-1]))
+    n = rates.shape[-1]
+    step = max(1, BLOCK_ELEMENTS // n)
+    first = np.empty(rounds)
+    n_fork = 0
+    for lo in range(0, rounds, step):
+        hi = min(lo + step, rounds)
+        times = rng.standard_exponential((hi - lo, n))
+        times /= rates[lo:hi]
+        times.partition(1, axis=1)
+        first[lo:hi] = times[:, 0]
+        n_fork += int(np.count_nonzero(times[:, 1] - times[:, 0] < delta0))
+    return n_fork, float(first.sum())
 
 
 def simulate_fork_rate(cfg: SimConfig) -> SimOutcome:

@@ -15,6 +15,7 @@ import pytest
 from forkcast.errors import ForkcastError
 from forkcast.estimate import (
     MomentPair,
+    add_zero_miners,
     confidence_band,
     estimate_hash_rates,
     fit_moments,
@@ -47,11 +48,13 @@ from forkcast.quadrature import (
     laplace,
     laplace_weighted,
 )
+from forkcast.ingest import segment_periods
 from forkcast.simulate import SimConfig
 
 BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324]
 COUNTS = BlockCounts([3, 5, 0, 9])
 MODEL = IIDNull(Exponential(2e4), 35)
+BLOCKS = np.zeros(3, [("height", np.int64)])
 
 # parameters that must be positive normal floats: (name in the message, call)
 POSITIVE = [
@@ -138,6 +141,9 @@ CHECKS = [
      lambda: confidence_band(COUNTS, 1e-3, "exp", [1.0], 100, percentiles=(95.0, 5.0))),
     ("percentiles must satisfy",
      lambda: confidence_band(COUNTS, 1e-3, "exp", [1.0], 100, percentiles=(0.0, 95.0))),
+    ("n_zero must be >= 0", lambda: add_zero_miners(COUNTS, -1)),
+    ("period_len must be >= 1", lambda: segment_periods(BLOCKS, 0)),
+    ("period_len must be >= 1", lambda: segment_periods(BLOCKS, -3)),
 ]
 
 

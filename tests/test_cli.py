@@ -397,6 +397,24 @@ class TestPipelineCommand:
         err = capsys.readouterr().err
         assert "--families: unknown gamma" in err and "semi-inid" in err
 
+    @pytest.mark.parametrize("length, message", [("0", "must be >= 1, got 0"),
+                                                 ("-5", "must be >= 1, got -5"),
+                                                 ("2.5", "not an integer: '2.5'")])
+    def test_bad_period_length_exits_2_before_any_ingest(self, tmp_path, capsys, monkeypatch,
+                                                         length, message):
+        def parse(path):
+            raise AssertionError("ingest ran")
+
+        monkeypatch.setattr(cli, "parse_blocks_csv", parse)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "pipeline", "--blocks", "b.csv", "--stale", "s.csv",
+                "--propagation", "p.csv", "--hashrate", "h.csv",
+                "--out", str(tmp_path / "report.json"), "--period-length", length,
+            ])
+        assert exc.value.code == 2
+        assert f"--period-length: {message}" in capsys.readouterr().err
+
     def test_empty_stale_file(self, tmp_path, dataset_dir, capsys):
         empty = tmp_path / "stale.csv"
         empty.write_text("height\n")

@@ -17,6 +17,7 @@ from forkcast.errors import (
 )
 from forkcast.forkrate import conditional_fork_rate
 from forkcast.estimate import estimate_hash_rates
+from forkcast import ingest
 from forkcast.ingest import (
     _CHUNK_CHARS,
     _CHUNK_ROWS,
@@ -316,6 +317,39 @@ class TestParsers:
         assert all(p.p50 <= p.p90 <= p.p99 for p in prop)
         series = parse_hashrate_csv(dataset_dir / "hashrate.csv")
         assert all(v > 0 for v in series.values())
+
+    @pytest.mark.parametrize("name, parse", [
+        ("blocks.csv", parse_blocks_csv),
+        ("stale.csv", parse_stale_csv),
+        ("propagation.csv", parse_propagation_csv),
+        ("hashrate.csv", parse_hashrate_csv),
+    ])
+    def test_lf_copy_of_the_fixture_parses_the_same(self, dataset_dir, tmp_path, monkeypatch,
+                                                    name, parse):
+        # the fixture is CRLF and goes through csv.reader; its LF copy is
+        # split in plain chunks from the first line to the last
+        crlf = (dataset_dir / name).read_bytes()
+        lf = tmp_path / name
+        lf.write_bytes(crlf.replace(b"\r\n", b"\n"))
+        plain_lines = []
+
+        def extend_plain(lines, *args):
+            done = extend(lines, *args)
+            plain_lines.append(len(lines) if done else 0)
+            return done
+
+        expected = parse(dataset_dir / name)
+        extend = ingest._extend_plain
+        monkeypatch.setattr(ingest, "_extend_plain", extend_plain)
+        parsed = parse(lf)
+        assert plain_lines and all(plain_lines)
+        assert sum(plain_lines) == crlf.count(b"\r\n") - 1 > 0
+        if isinstance(expected, dict):
+            assert list(parsed.items()) == list(expected.items())
+            assert {type(v) for v in parsed.values()} == {float}
+        else:
+            assert parsed.dtype == expected.dtype
+            assert _rows(parsed) == _rows(expected)
 
     def test_malformed_line_reports_position(self, tmp_path):
         p = tmp_path / "bad.csv"

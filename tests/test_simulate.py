@@ -1,20 +1,38 @@
 import math
+import tracemalloc
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from forkcast import simulate
 from forkcast.errors import InvalidModel
+from forkcast.estimate import MomentPair, estimate_hash_rates, method_of_moments
 from forkcast.forkrate import fork_rate_iid
-from forkcast.model import BlockCounts, Fixed, IIDNull, INIDNull, MinerSet, SemiEmpiricalINID
+from forkcast.model import (
+    BlockCounts,
+    Fixed,
+    IIDNull,
+    INIDNull,
+    MinerSet,
+    SemiEmpiricalIID,
+    SemiEmpiricalINID,
+    population,
+)
 from forkcast.quadrature import Exponential, LogNormal, PointMassTransform, TruncatedPowerLaw
 from forkcast.simulate import (
+    BLOCK_ELEMENTS,
     CHUNK_ELEMENTS,
     CHUNK_ROUNDS,
     SimConfig,
     _chunk_rounds,
+    _rng,
+    _run_chunk,
+    _sample_rates,
     simulate_fork_rate,
     simulate_min_time,
 )
+from forkcast.synthetic import REFERENCE_COUNTS, REFERENCE_LAMBDA
 
 from conftest import SUITE_SEED
 
@@ -136,6 +154,90 @@ class TestChunkSize:
             for t in (1, 2)
         )
         assert one == two
+
+
+class TestRowBlocks:
+    """Exponentials drawn in row blocks continue one stream: no block size shows."""
+
+    @pytest.mark.parametrize("n", [2, 35, 100, 350])
+    def test_thread_invariant_across_partial_blocks(self, n):
+        rows = BLOCK_ELEMENTS // n
+        rounds = _chunk_rounds(n) + rows + rows // 2 + 1  # a second, partial chunk
+        assert (rounds - _chunk_rounds(n)) % rows
+        model = IIDNull(Exponential(20000.0), n)
+        one, two = (
+            simulate_fork_rate(SimConfig(model, 2.0, rounds, seed=n, threads=t))
+            for t in (1, 2)
+        )
+        assert one == two
+
+    @pytest.mark.parametrize("n", [2, 35, 350])
+    def test_same_outcome_for_any_block_size(self, monkeypatch, n):
+        model = INIDNull([Exponential(20000.0)] * (n - n // 2) + [LogNormal(-10.7, 1.2)] * (n // 2))
+        cfg = SimConfig(model, 2.0, 3 * _chunk_rounds(n) // 2, seed=n, threads=1)
+        outcomes = []
+        for elements in (1, 3 * n + 1, BLOCK_ELEMENTS, CHUNK_ELEMENTS * n):
+            monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", elements)
+            outcomes.append(simulate_fork_rate(cfg))
+        assert all(out == outcomes[0] for out in outcomes)
+
+
+_COUNTS = BlockCounts(REFERENCE_COUNTS)
+_GAMMA = _COUNTS.total / REFERENCE_LAMBDA
+# the four models of the benchmark's validate workload, n = 35
+CHUNK_MODELS = {
+    "lognormal": (IIDNull(method_of_moments(MomentPair(5e-5, 1e-4), "lognormal"), 35), 1.5),
+    "fixed": (Fixed(estimate_hash_rates(_COUNTS, REFERENCE_LAMBDA)), 1.5),
+    "semi-iid": (SemiEmpiricalIID(_COUNTS, _GAMMA), 2.25),
+    "semi-inid": (SemiEmpiricalINID(_COUNTS, _GAMMA), 2.25),
+}
+
+
+class TestChunkMemory:
+    @pytest.mark.parametrize("name", CHUNK_MODELS)
+    def test_chunk_peak_is_the_rate_matrix(self, name):
+        # only the rates are full-size; a posterior holds its counts and its
+        # draws at once while it samples them
+        model, bound = CHUNK_MODELS[name]
+        pop = population(model)
+        fixed = _sample_rates(pop, _rng(1, 0), 1) if isinstance(model, Fixed) else None
+        tracemalloc.start()
+        try:
+            _run_chunk(pop, fixed, 2.0, _rng(1, 1), CHUNK_ROUNDS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * CHUNK_ROUNDS * 35 * 8
+
+
+@dataclass(frozen=True)
+class _BadDraw(Exponential):
+    """An exponential member whose last draw is replaced by ``bad``."""
+
+    bad: float = math.nan
+
+    def sample(self, rng, size):
+        draws = super().sample(rng, size)
+        draws[-1, -1] = self.bad
+        return draws
+
+
+class TestRateCheck:
+    BAD = [math.nan, math.inf, -math.inf, 0.0, -1.0]
+
+    @pytest.mark.parametrize("bad", BAD)
+    @pytest.mark.parametrize("resample", [True, False])
+    def test_one_transform_population(self, bad, resample):
+        model = IIDNull(_BadDraw(20000.0, bad), 5)
+        with pytest.raises(InvalidModel, match="non-positive or non-finite"):
+            simulate_fork_rate(SimConfig(model, 1.0, 100, 0, resample_rates=resample))
+
+    @pytest.mark.parametrize("bad", BAD)
+    def test_bad_rate_in_a_later_draw_block(self, bad):
+        model = INIDNull([Exponential(20000.0), LogNormal(-10.7, 1.2), _BadDraw(20000.0, bad)])
+        assert len(population(model)[0]) == 3
+        with pytest.raises(InvalidModel, match="non-positive or non-finite"):
+            simulate_fork_rate(SimConfig(model, 1.0, 100, 0))
 
 
 class TestValidation:

@@ -2,10 +2,13 @@
 
 ``tests/golden/simulate.json`` pins every field of ``SimOutcome`` for fixed
 rates, i.i.d. null families and an independent population of distinct
-families, with and without per-round rate resampling.  These random
-streams are part of the reproducibility contract: a refactor of the
-sampler must reproduce them bit for bit.  The semi-empirical models are
-not pinned here; their statistical checks live in ``test_acceptance.py``.
+families, with and without per-round rate resampling.  The semi-empirical
+i.i.d. and independent models run on the reference counts plus 20
+zero-count miners, so their posterior draws take both the ``wald`` and the
+zero-count ``gamma`` branch.  These random streams are part of the
+reproducibility contract: a refactor of the sampler must reproduce them bit
+for bit.  The statistical checks of the semi-empirical models live in
+``test_acceptance.py``.
 
 Regenerate (only when a stream change is intended) with::
 
@@ -20,12 +23,23 @@ from pathlib import Path
 
 import pytest
 
-from forkcast.model import Fixed, IIDNull, INIDNull, MinerSet
+from forkcast.model import (
+    BlockCounts,
+    Fixed,
+    IIDNull,
+    INIDNull,
+    MinerSet,
+    SemiEmpiricalIID,
+    SemiEmpiricalINID,
+)
 from forkcast.quadrature import Exponential, LogNormal, TruncatedPowerLaw
 from forkcast.simulate import SimConfig, simulate_fork_rate
+from forkcast.synthetic import REFERENCE_COUNTS, REFERENCE_LAMBDA
 
 GOLDEN = Path(__file__).parent / "golden" / "simulate.json"
 ROUNDS = 100_000  # two chunks up to 64 miners, three at n = 100
+SEMI_COUNTS = BlockCounts(REFERENCE_COUNTS + (0,) * 20)
+SEMI_GAMMA = SEMI_COUNTS.total / REFERENCE_LAMBDA
 MODELS = {
     "fixed": Fixed(MinerSet([0.001, 0.0007, 0.0002])),
     "iid-exp": IIDNull(Exponential(20000.0), 10),
@@ -35,6 +49,8 @@ MODELS = {
     "inid-distinct": INIDNull(
         (Exponential(15000.0), TruncatedPowerLaw(0.5, 1e4), LogNormal(-10.7, 1.2))
     ),
+    "semi-iid": SemiEmpiricalIID(SEMI_COUNTS, SEMI_GAMMA),
+    "semi-inid": SemiEmpiricalINID(SEMI_COUNTS, SEMI_GAMMA),
 }
 DELTA0 = {"fixed": 100.0}  # every other model at 8.7 s
 CASES = [(name, resample) for name in MODELS for resample in (True, False)]
