@@ -18,13 +18,19 @@ statistics take a slice of the block array.
 
 Parsers are total: a malformed line raises a :class:`ParseError` carrying
 the file path and line number, never a partial result.  The body is read
-in chunks of whole lines.  A plain chunk (no quotes, CRs, NULs or blank
-lines, and the header's field count on every line) is split with one
-``str.split``, which is how ``csv.reader`` splits such text; from the
-first chunk that is not plain, ``csv.reader`` splits the rest of the file.
-Each column of a chunk is converted in one pass.  No line numbers are
-kept: a file that is rejected is re-scanned to find the line of its first
-bad row.
+as bytes in chunks of whole lines.  A plain chunk (valid UTF-8 with no
+quote, CR, NUL or blank line, no field over the csv field size limit, and
+the header's field count on every line) is split at its commas and
+newlines, found in one numpy pass; that is how ``csv.reader`` splits such
+text.  Each column of a plain chunk is converted at once, by a route its
+converter picks: ``int`` fields by a digit kernel, ``float`` fields by an
+exact m / 10^k kernel, and any other converter, or a number outside its
+kernel's grammar, once per distinct field.  From the first chunk that is
+not plain, or whose converter rejects a value, ``csv.reader`` splits the
+rest of the file, and its rows are converted a column at a time; bytes
+that are not UTF-8 send the whole file through ``csv.reader``.  No line
+numbers are kept: a file that is rejected is re-scanned to find the line
+of its first bad row.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ import bisect
 import csv
 import datetime as dt
 import functools
+import io
 import itertools
 import math
 import operator
@@ -66,15 +73,20 @@ PERIOD_LENGTH = 20_000
 FORK_RATE_RESCALE = 1.476
 
 _SECONDS_PER_DAY = 86_400
-# non-blank rows per column-at-once conversion; a small chunk stays in cache
-# (on a 2-vCPU x86_64 VM, 512 parsed 120,000 blocks about 15 % faster than 4,096)
+# non-blank rows per column-at-once conversion in csv.reader; a small chunk
+# stays in cache (on a 2-vCPU x86_64 VM, 512 parsed 120,000 blocks about 15 %
+# faster than 4,096)
 _CHUNK_ROWS = 512
-# characters per plain chunk, read as whole lines and split with str.split;
-# memory stays bounded by the chunk, not the file
-_CHUNK_CHARS = 1 << 16
-# UTF-8 bytes other than the comma, the newline and the three characters
-# that make csv.reader split differently from str.split
-_NOT_SEPARATORS = bytes(b for b in range(256) if b not in b',\n"\r\0')
+# bytes of whole lines per plain chunk; memory stays bounded by the chunk,
+# not the file (on a 2-vCPU x86_64 VM, 64 KiB chunks parsed 120,137 blocks
+# about 25 % slower than 256 KiB, and 1 MiB chunks within 5 % of them)
+_CHUNK_CHARS = 1 << 18
+# zero bytes before a plain chunk, so that every window of a field fits;
+# also the widest field whose distinct values are found by byte keys
+_PAD = 64
+# 10**k, exact, as int64 (k <= 18) and as float64 (k <= 15)
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_POW10_FLOAT = np.array([float(10**k) for k in range(16)])
 _EPOCH_ORDINAL = dt.date(1970, 1, 1).toordinal()
 
 
@@ -128,20 +140,21 @@ def _line(path: str | Path, k: int) -> int:
         return reader.line_num
 
 
-def _convert(path: str | Path, chunk: list, picks: list, fields: list):
-    """Extend each field by converting its column of ``chunk`` in one pass.
+def _convert(path: str | Path, chunk: list, picks: list, lists: list, start: int):
+    """Extend each list by converting its column of ``chunk`` in one pass.
 
-    A failure walks the chunk row by row to report its first bad row.
+    ``start`` is the number of rows before ``lists``.  A failure walks the
+    chunk row by row to report its first bad row.
     """
-    start = len(fields[0])
+    start += len(lists[0])
     try:
-        for field, (i, convert) in zip(fields, picks):
-            field.extend(map(convert, map(operator.itemgetter(i), chunk)))
+        for values, (i, convert, _) in zip(lists, picks):
+            values.extend(map(convert, map(operator.itemgetter(i), chunk)))
     except (IndexError, ValueError):
-        need = max(i for i, _ in picks) + 1
+        need = max(i for i, _, _ in picks) + 1
         for k, row in enumerate(chunk, start):
             try:
-                for i, convert in picks:
+                for i, convert, _ in picks:
                     convert(row[i])
             except IndexError:
                 message = f"{len(row)} field(s), need {need}"
@@ -151,68 +164,196 @@ def _convert(path: str | Path, chunk: list, picks: list, fields: list):
         raise
 
 
-def _extend_plain(lines: list[str], width: int, picks: list, fields: list) -> bool:
-    """Extend each field from a chunk of plain lines; False leaves ``fields`` as it was.
+def _windows(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray, width: int,
+             zero: int = 0) -> np.ndarray:
+    """``(fields, width)`` bytes: field k is the ``lengths[k]`` bytes before ``ends[k]``.
+
+    Each field is right-aligned in its row, less ``zero`` (mod 256), and
+    the bytes to its left are 0.  ``buf`` has at least ``width`` bytes
+    before the first field.
+    """
+    rows = np.ndarray((buf.size - width + 1,), f"V{width}", buf, strides=(1,))
+    win = rows[ends - width].view(np.uint8).reshape(-1, width)
+    if zero:
+        win -= np.uint8(zero)
+    keep = np.arange(width) >= width - np.arange(width + 1)[:, None]
+    win &= (keep * np.uint8(255)).view(f"V{width}")[lengths, 0].view(np.uint8).reshape(win.shape)
+    return win
+
+
+def _numbers(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, point: bool):
+    """The fields as ``int`` (or ``float`` with ``point``) reads them, or None.
+
+    The fields must all be an optional ``-`` and 1 to 18 digits, or with
+    ``point`` at most 16 digits and points, no more than one point and at
+    least one digit; None sends the column to :func:`_distinct`.  A float
+    is m / 10^k for its digits m and k decimal places.  With a point,
+    m < 10^15 < 2^53 and 10^k are exact doubles, so the one division is
+    correctly rounded, as ``float`` is (Clinger, PLDI 1990); without one,
+    converting m < 10^16 is the one rounding.
+    """
+    neg = buf[starts] == 45  # "-"
+    lengths = ends - starts - neg
+    width = int(lengths.max())
+    if lengths.min() < 1 or width > (16 if point else 18):
+        return None
+    digits = _windows(buf, ends, lengths, width, zero=48)  # "0"
+    if point:
+        dot = digits == 254  # "." - "0"
+        dots = np.count_nonzero(dot, axis=1)
+        if dots.max() > 1 or (dots == lengths).any():
+            return None
+        digits[dot] = 0
+    if digits.max() > 9:
+        return None
+    m = digits.astype(np.int64) @ _POW10[width - 1 :: -1]
+    if point:
+        # digits after the point; those before it were placed one too high
+        places = np.where(dots, width - 1 - dot.argmax(axis=1), 0)
+        scale = _POW10[places]
+        m = np.where(dots, m // (10 * scale) * scale + m % scale, m)
+        m = m / _POW10_FLOAT[places]
+    return np.negative(m, out=m, where=neg)
+
+
+def _distinct(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
+              convert: Callable[[str], object], dtype):
+    """The fields converted by ``convert``, each distinct field once; None if one is too wide.
+
+    A field's key is its bytes, zero-padded on the left to whole 8-byte
+    words: equal keys are equal fields, as a plain chunk has no NUL.  Raises
+    the converter's ``ValueError``.
+    """
+    lengths = ends - starts
+    width = max(8, -(-int(lengths.max()) // 8) * 8)
+    if width > _PAD:
+        return None
+    words = _windows(buf, ends, lengths, width).view("<u8")
+    codes = np.zeros(len(words), np.intp)
+    for word in words.T:
+        if (word != word[0]).any():
+            keys, inverse = np.unique(word, return_inverse=True)
+            if codes.any():
+                inverse = np.unique(codes * len(keys) + inverse, return_inverse=True)[1]
+            codes = inverse
+    first = np.empty(codes.max() + 1, np.intp)
+    first[codes] = np.arange(codes.size)
+    values = [convert(data[s:e].decode()) for s, e in zip(starts[first].tolist(), ends[first].tolist())]
+    try:
+        table = np.array(values, dtype)
+    except OverflowError:
+        # kept as Python ints: _read_csv reports the first that does not fit
+        table = np.array(values, object)
+    return table[codes]
+
+
+def _extend_plain(chunk: bytes, width: int, picks: list, fields: list) -> int:
+    """Append one array per field from a chunk of whole lines; the lines, or 0 if not plain.
 
     A chunk is plain when it has no quote, CR or NUL, no blank line, no
-    line longer than the csv field size limit and exactly ``width`` fields
-    on every line.  ``csv.reader`` splits such text exactly as
-    ``str.split(",")`` does, so the chunk is split once and each column is
-    a strided slice.  A chunk that is not plain, or holds a value that a
-    converter rejects, is left to ``csv.reader``.
+    field longer than the csv field size limit and exactly ``width``
+    fields on every line; ``csv.reader`` splits such text at its commas
+    and newlines.  Those are found in one pass over the bytes, and each
+    picked column is converted in one go: ``int`` and ``float`` columns by
+    :func:`_numbers`, the others (and any number outside its grammar) by
+    :func:`_distinct`.  A chunk that is not plain, holds a value that a
+    converter rejects or a field too wide for a key, appends nothing and
+    is left to ``csv.reader``.  Bytes that are not UTF-8 raise
+    ``UnicodeDecodeError``.
     """
-    text = "".join(lines)
-    if text[-1] != "\n":  # the last line of a file with no final newline
-        text += "\n"
-    limit = csv.field_size_limit()
-    if len(text) > limit and max(map(len, lines)) > limit:
-        return False
-    # the commas and newlines in order, and any quote, CR or NUL: a short
-    # row next to a long one shows here, where a total count would hide it
-    separators = text.encode().translate(None, _NOT_SEPARATORS)
-    if separators != (b"," * (width - 1) + b"\n") * len(lines) or "\n" in lines:
-        return False
-    # the final newline leaves one empty string past the last row
-    cells = text.replace("\n", ",").split(",")
-    end = len(lines) * width
-    start = len(fields[0])
-    try:
-        for field, (i, convert) in zip(fields, picks):
-            field.extend(map(convert, cells[i:end:width]))
-    except ValueError:
-        for field in fields:
-            del field[start:]
-        return False
-    return True
+    if not chunk.endswith(b"\n"):  # the last line of a file with no final newline
+        chunk += b"\n"
+    if b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
+        return 0
+    if not chunk.isascii():
+        chunk.decode()
+    data = bytes(_PAD) + chunk
+    buf = np.frombuffer(data, np.uint8)
+    newline = buf == 10
+    sep = np.flatnonzero(newline | (buf == 44))  # "," and "\n"
+    lines = np.count_nonzero(newline)
+    # the header's field count on every line: a short row next to a long
+    # one shows here, where a total count would hide it
+    if sep.size != lines * width or not newline[sep[width - 1 :: width]].all():
+        return 0
+    starts = np.empty_like(sep)
+    starts[0] = _PAD
+    np.add(sep[:-1], 1, out=starts[1:])
+    lengths = sep - starts
+    # a blank line is an empty field only when a line has one field
+    if lengths.max() > csv.field_size_limit() or width == 1 and lengths.min() == 0:
+        return 0
+    ends, starts = sep.reshape(lines, width), starts.reshape(lines, width)
+    columns = []
+    for i, convert, dtype in picks:
+        values = None
+        if convert is int or convert is float:
+            values = _numbers(buf, starts[:, i], ends[:, i], point=convert is float)
+        if values is None:
+            try:
+                values = _distinct(data, buf, starts[:, i], ends[:, i], convert, dtype)
+            except ValueError:
+                return 0
+            if values is None:
+                return 0
+        columns.append(values)
+    for field, values in zip(fields, columns):
+        field.append(values)
+    return lines
+
+
+def _header(fname: str, header: list | None, columns: Mapping) -> list:
+    """``(index, converter, dtype)`` of each named column in the header row."""
+    if header is None:
+        raise ParseError(fname, 1, "empty file, expected a header row")
+    position = {name: i for i, name in enumerate(header)}
+    missing = [c for c in columns if c not in position]
+    if missing:
+        raise ParseError(fname, 1, f"missing column(s) {', '.join(missing)}")
+    return [(position[c], convert, dtype) for c, (convert, dtype) in columns.items()]
 
 
 def _read_fields(path: str | Path, columns: Mapping, plain: bool) -> list[list]:
-    """One list per named column of the rows of a CSV file; see :func:`_read_csv`.
+    """Per named column, the arrays and lists of its values; see :func:`_read_csv`.
 
     With ``plain``, the body is read in chunks of about :data:`_CHUNK_CHARS`
-    and each plain chunk is split by :func:`_extend_plain`.  The first chunk
-    that is not plain, and the rest of the file, go through ``csv.reader``.
+    bytes of whole lines, and each plain chunk goes through
+    :func:`_extend_plain`.  The first chunk that is not plain, and the rest
+    of the file, go through ``csv.reader``, as does a whole file whose
+    header line has a quote or a CR.
     """
     fname = str(path)
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        offset = 0  # lines read before the current reader's first
+    with open(path, "r", encoding="utf-8", newline="") as text:
+        raw = text.buffer  # read as bytes until csv.reader takes over
+        offset, lines, picks = 0, (), None  # lines read before the reader's first
         try:
-            header = next(reader, None)
-            if header is None:
-                raise ParseError(fname, 1, "empty file, expected a header row")
-            position = {name: i for i, name in enumerate(header)}
-            missing = [c for c in columns if c not in position]
-            if missing:
-                raise ParseError(fname, 1, f"missing column(s) {', '.join(missing)}")
-            picks = [(position[c], convert) for c, (convert, _) in columns.items()]
-            fields = [[] for _ in picks]
-            offset, lines = reader.line_num, []
-            while plain and (lines := fh.readlines(_CHUNK_CHARS)):
-                if not _extend_plain(lines, len(header), picks, fields):
-                    break
-                offset += len(lines)
-            reader = csv.reader(itertools.chain(lines, fh))
+            head = raw.readline()
+            if plain and head and not (b'"' in head or b"\r" in head):
+                reader = csv.reader([head.decode()])
+                header = next(reader)
+                picks = _header(fname, header, columns)
+                fields = [[] for _ in picks]
+                offset = 1
+                while chunk := raw.read(_CHUNK_CHARS):
+                    if not chunk.endswith(b"\n"):
+                        chunk += raw.readline()
+                    done = _extend_plain(chunk, len(header), picks, fields)
+                    if not done:
+                        lines = io.StringIO(chunk.decode(), newline="")
+                        break
+                    offset += done
+                else:
+                    return fields
+            else:
+                raw.seek(0)
+            reader = csv.reader(itertools.chain(lines, text))
+            if picks is None:
+                picks = _header(fname, next(reader, None), columns)
+                fields = [[] for _ in picks]
+            start = sum(map(len, fields[0]))
+            for field in fields:
+                field.append([])
+            lists = [field[-1] for field in fields]
             rows = filter(None, reader)
             while True:
                 chunk = []
@@ -221,7 +362,7 @@ def _read_fields(path: str | Path, columns: Mapping, plain: bool) -> list[list]:
                 finally:
                     # rows read before a reader error precede it in the file:
                     # a bad value among them is the error to report
-                    _convert(path, chunk, picks, fields)
+                    _convert(path, chunk, picks, lists, start)
                 if len(chunk) < _CHUNK_ROWS:
                     break
         except csv.Error as exc:
@@ -235,20 +376,30 @@ def _read_csv(
     """Record array of the named columns of a CSV file with a header row.
 
     ``columns`` maps each required name to a field converter and a dtype.
-    Plain chunks of the body are split with ``str.split``; quoted or
-    irregular text goes to ``csv.reader``, whose non-blank rows are taken
-    in chunks of :data:`_CHUNK_ROWS`.  Either way each column of a chunk is
-    converted in one pass.  A converter's ``ValueError``, a row too short
-    for a named column, a ``csv.Error``, bytes that are not UTF-8 and an
-    integer outside the dtype raise :class:`ParseError` at the row's line.
+    The body is read as bytes, in chunks of whole lines.  A plain chunk
+    (see :func:`_extend_plain`) is split at the commas and newlines that
+    one numpy pass finds, and each named column is converted at once by
+    one of three routes, picked by its converter: ``int`` fields of an
+    optional sign and up to 18 digits by a digit kernel, ``float`` fields
+    of up to 16 digits and one point by an exact m / 10^k kernel (both
+    :func:`_numbers`), and every other converter, or a column with a
+    number outside its kernel's grammar, once per distinct field
+    (:func:`_distinct`).  ``csv.reader`` takes over from the first chunk
+    that is quoted or irregular, whose converter rejects a value or that
+    has a field too wide for a key, and splits the rest of the file; its
+    non-blank rows are converted in chunks of :data:`_CHUNK_ROWS`, one
+    pass per column.  Bytes that are not UTF-8 send the whole file through
+    ``csv.reader``.  Either way the values are the converters' own.  A
+    converter's ``ValueError``, a row too short for a named column, a
+    ``csv.Error``, bytes that are not UTF-8 and an integer outside the
+    dtype raise :class:`ParseError` at the row's line.
     """
     fname = str(path)
     try:
         try:
             fields = _read_fields(path, columns, plain=True)
         except UnicodeDecodeError:
-            # the error drops the lines of the plain chunk being read: a pass
-            # through csv.reader alone reports a bad value among them first
+            # csv.reader alone reports a bad value before the byte first
             fields = _read_fields(path, columns, plain=False)
     except UnicodeDecodeError as exc:
         # the decoder reads ahead in chunks: find the line in the raw bytes
@@ -261,14 +412,18 @@ def _read_csv(
         raise ParseError(fname, line, f"not UTF-8: {exc.reason}") from None
     # np.rec.fromarrays allocates with np.empty, many times slower than
     # np.zeros when a field holds objects
-    records = np.zeros(len(fields[0]), [(c, dtype) for c, (_, dtype) in columns.items()])
-    for field, (name, (_, dtype)) in zip(fields, columns.items()):
+    records = np.zeros(sum(map(len, fields[0])), [(c, d) for c, (_, d) in columns.items()])
+    for pieces, name in zip(fields, columns):
+        column, at = records[name], 0
         try:
-            records[name] = np.array(field, dtype)
+            for values in pieces:
+                column[at : at + len(values)] = values
+                at += len(values)
         except OverflowError:
-            info = np.iinfo(dtype)
-            k = next(k for k, v in enumerate(field) if not info.min <= v <= info.max)
-            message = f"{field[k]} does not fit in {info.dtype}"
+            info = np.iinfo(column.dtype)
+            values = list(itertools.chain.from_iterable(pieces))
+            k = next(k for k, v in enumerate(values) if not info.min <= v <= info.max)
+            message = f"{values[k]} does not fit in {info.dtype}"
             raise ParseError(fname, _line(path, k), message) from None
     return records.view(np.recarray)
 

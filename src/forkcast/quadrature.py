@@ -534,19 +534,26 @@ class PosteriorTransform(_Transform):
         """One draw per entry of the float count array ``b``, which it may overwrite.
 
         A rate's reciprocal is inverse Gaussian with mean gamma/b and shape
-        gamma (one ``wald`` call for every b > 0); at b = 0 the rate is
-        Gamma(1/2, rate gamma/2) (one ``gamma`` call).  When every count is
-        positive the means and the reciprocals are formed in place, so a
-        chunk's peak memory is two arrays of its size: ``b`` and the draws.
-        Only a zero count adds the boolean gather and scatter.
+        gamma (``wald`` draws for every b > 0, in order); at b = 0 the rate
+        is Gamma(1/2, rate gamma/2) (one ``gamma`` call after them).  The
+        positive counts are drawn in row blocks of
+        :data:`.simulate.BLOCK_ELEMENTS` entries, so beyond ``b`` the peak
+        memory is one block's temporaries, plus a mask of ``b`` and the
+        gamma draws when a count is zero.
         """
-        if b.all():
-            draws = rng.wald(np.divide(self.gamma, b, out=b), self.gamma)
-            return np.reciprocal(draws, out=draws)
-        pos = b > 0
-        b[pos] = 1.0 / rng.wald(self.gamma / b[pos], self.gamma)
-        b[~pos] = rng.gamma(0.5, 2.0 / self.gamma, size=b.size - np.count_nonzero(pos))
-        return b
+        from .simulate import BLOCK_ELEMENTS  # simulate imports this module
+
+        flat = b.reshape(-1)
+        zero = None if flat.all() else flat == 0
+        for lo in range(0, flat.size, BLOCK_ELEMENTS):
+            block = flat[lo : lo + BLOCK_ELEMENTS]
+            pos = block > 0
+            means = block[pos]
+            draws = rng.wald(np.divide(self.gamma, means, out=means), self.gamma)
+            block[pos] = np.reciprocal(draws, out=draws)
+        if zero is not None:
+            flat[zero] = rng.gamma(0.5, 2.0 / self.gamma, size=np.count_nonzero(zero))
+        return flat.reshape(b.shape)
 
 
 def _logsumexp(rows: np.ndarray, axis: int = 0) -> np.ndarray:

@@ -1,6 +1,7 @@
 import csv
 import datetime as dt
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -333,9 +334,9 @@ class TestParsers:
         lf.write_bytes(crlf.replace(b"\r\n", b"\n"))
         plain_lines = []
 
-        def extend_plain(lines, *args):
-            done = extend(lines, *args)
-            plain_lines.append(len(lines) if done else 0)
+        def extend_plain(chunk, *args):
+            done = extend(chunk, *args)
+            plain_lines.append(chunk.count(b"\n") if done else 0)
             return done
 
         expected = parse(dataset_dir / name)
@@ -571,7 +572,7 @@ ENDING = st.sampled_from(["\n", "\n", "\r\n", "\r"])
 
 
 class TestPlainChunks:
-    """Plain chunks split with ``str.split`` parse exactly as ``csv.reader`` rows."""
+    """Plain chunks split as bytes parse exactly as ``csv.reader`` rows."""
 
     @given(
         before=st.one_of(st.integers(0, 5), st.integers(FILLER_PER_CHUNK - 6, FILLER_PER_CHUNK + 3)),
@@ -652,6 +653,190 @@ class TestPlainChunks:
         p = tmp_path / "names.csv"
         p.write_bytes(text.encode())
         assert _read_csv(p, {"name": (str, object)}).name.tolist() == ["a", "b"]
+
+
+# one column per conversion route: the int and float kernels and distinct
+# fields; a fourth column is read by no converter
+KERNEL_COLUMNS = {
+    "i": (int, np.int64),
+    "f": (float, np.float64),
+    "s": (str.strip, object),
+}
+KERNEL_FIELDS = "i,f,s,note"
+
+
+def _kernel_filler(k):
+    """A row in every kernel's grammar, about 32 bytes with its newline."""
+    return f"{k * 7919 % 10**9},{k % 977}.{k % 10_000:04d},pool{k % 40:02d},n{k % 3}\n"
+
+
+KERNEL_ROWS_PER_CHUNK = _CHUNK_CHARS // len(_kernel_filler(10_000))
+
+# numerals at the edges of each kernel's grammar, and ids at the edges of
+# the 8-byte keys
+INT_NUMERALS = [
+    "007", "-0", "-007", "0", "123456789012345678", "-123456789012345678",
+    "1234567890123456789", "-9223372036854775808", "9223372036854775807",
+    "9223372036854775808", "+7", "1_000", " 7", "7 ", "\u0663\u0664", "x", "", "-", "--7",
+]
+FLOAT_NUMERALS = [
+    ".5", "-.5", "5.", "-5.", "1e-3", "inf", "-inf", "nan", "-0.0", "-0", "0.000",
+    "0.1234567890123456", "123456789.1234567", "1234567890123456", "9999999999999999",
+    "96.48064786969077",  # 16 digits: m / 10^k would round twice
+    "99999999999999.99", "0.30000000000000004", "1_0.5", "+1.5", "1..2", "1.2.",
+    "-", ".", "-.", "",
+]
+IDS = [
+    "pool07", "\u77ff\u6c60-1", "\u00f1and\u00fa", "AntPool-Europe-1", "abcdefgh1", "abcdefgh2",
+    "1abcdefgh", "2abcdefgh", "x", " x", "x ", "", "m" * 63, "m" * 65, "\u0663",
+]
+INT_TEXTS = st.one_of(
+    st.sampled_from(INT_NUMERALS), st.integers(-(10**18) + 1, 10**18 - 1).map(str)
+)
+FLOAT_TEXTS = st.one_of(
+    st.sampled_from(FLOAT_NUMERALS),
+    st.builds(
+        lambda m, places, neg, zeros: (
+            ("-" if neg else "") + "0" * zeros
+            + (digits := str(m).rjust(places + 1, "0"))[: len(digits) - places]
+            + ("." + digits[len(digits) - places :] if places else "")
+        ),
+        st.integers(0, 10**15 - 1), st.integers(0, 15), st.booleans(), st.integers(0, 2),
+    ),
+    st.floats(allow_nan=False).map(repr),
+)
+ID_TEXTS = st.sampled_from(IDS)
+
+
+def _oracle_columns(path, columns):
+    """Columns by ``csv.reader`` and the converters, or the line of the first error.
+
+    Converter errors come in file order; an integer outside int64 after
+    them, column by column.
+    """
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        position = {name: i for i, name in enumerate(next(reader))}
+        rows, lines = [], []
+        for row in reader:
+            if row:
+                try:
+                    rows.append([convert(row[position[c]]) for c, (convert, _) in columns.items()])
+                except (IndexError, ValueError):
+                    return reader.line_num
+                lines.append(reader.line_num)
+    values = list(zip(*rows)) or [()] * len(columns)
+    for column, (_, dtype) in zip(values, columns.values()):
+        if dtype == np.int64:
+            for value, line in zip(column, lines):
+                if not -(2**63) <= value < 2**63:
+                    return line
+    return values
+
+
+def _check_kernels(path, table):
+    """Write ``table`` under the kernel header; parse it as the oracle does."""
+    path.write_bytes((KERNEL_FIELDS + "\n" + "".join(",".join(r) + "\n" for r in table)).encode())
+    expected = _oracle_columns(path, KERNEL_COLUMNS)
+    if isinstance(expected, int):
+        with pytest.raises(ParseError) as err:
+            _read_csv(path, KERNEL_COLUMNS)
+        assert err.value.line == expected
+        return
+    parsed = _read_csv(path, KERNEL_COLUMNS)
+    assert parsed.i.tolist() == list(expected[0])
+    assert _bits_of(parsed.f) == _bits_of(expected[1])
+    assert parsed.s.tolist() == list(expected[2])
+
+
+def _bits_of(floats):
+    """Float values as their bit patterns, so that -0.0 and NaN compare too."""
+    return np.asarray(floats, np.float64).view(np.int64).tolist()
+
+
+class TestColumnKernels:
+    """Each conversion route gives exactly the converter's values, errors and lines."""
+
+    @given(
+        rows=st.sampled_from([3, KERNEL_ROWS_PER_CHUNK - 2, 2 * KERNEL_ROWS_PER_CHUNK + 5]),
+        edits=st.lists(
+            st.tuples(st.floats(0, 1), st.sampled_from("ifs"),
+                      st.one_of(INT_TEXTS, FLOAT_TEXTS, ID_TEXTS)),
+            max_size=12,
+        ),
+    )
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_same_as_converters(self, tmp_path, rows, edits):
+        table = [_kernel_filler(k).rstrip("\n").split(",") for k in range(rows)]
+        for where, column, text in edits:
+            table[int(where * (rows - 1))]["ifs".index(column)] = text
+        _check_kernels(tmp_path / "kernels.csv", table)
+
+    @pytest.mark.parametrize("column, text", [
+        *(("i", t) for t in INT_NUMERALS), *(("f", t) for t in FLOAT_NUMERALS),
+        *(("s", t) for t in IDS),
+    ])
+    def test_one_numeral_among_plain_rows(self, tmp_path, column, text):
+        table = [_kernel_filler(k).rstrip("\n").split(",") for k in range(50)]
+        table[25]["ifs".index(column)] = text
+        _check_kernels(tmp_path / "kernels.csv", table)
+
+    def test_ids_that_share_key_words(self, tmp_path):
+        # equal in one 8-byte word and different in another, either way round
+        ids = ["1abcdefgh", "2abcdefgh", "1zzzzzzzz", "abcdefgh", "a" * 24, "b" + "a" * 23,
+               "a" * 16 + "b" * 8, "\u00e9" * 12, "\u00e9" * 11 + "e\u0301"]
+        p = tmp_path / "ids.csv"
+        p.write_text("s\n" + "".join(f"{ids[k * 7 % len(ids)]}\n" for k in range(1000)))
+        parsed = _read_csv(p, {"s": (str, object)}).s
+        assert parsed.tolist() == [ids[k * 7 % len(ids)] for k in range(1000)]
+
+    def test_a_long_id_does_not_widen_the_key_windows(self, tmp_path):
+        # its chunk goes to csv.reader, not into one window per row as wide
+        # as the widest id (2,000 x 10,000 bytes)
+        rows = [_filler(i) for i in range(2000)]
+        rows[100] = rows[100].replace("m", "m" * 10_000)
+        p = tmp_path / "blocks.csv"
+        p.write_text(BLOCK_FIELDS + "\n" + "".join(rows))
+        tracemalloc.start()
+        try:
+            blocks = parse_blocks_csv(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(blocks.miner_id[100]) == 10_001
+        assert peak < 2000 * 10_000 / 10
+
+    def test_decimals_are_correctly_rounded(self, tmp_path):
+        # every digit count and number of places the float kernel takes
+        rng = np.random.default_rng(SUITE_SEED)
+        texts = []
+        for digits in range(1, 16):
+            for m in rng.integers(0, 10**digits, 400).tolist():
+                places = int(rng.integers(0, digits))
+                text = str(m).rjust(digits, "0")
+                sign = "-" if m % 3 == 0 else ""
+                texts.append(f"{sign}{text[: digits - places]}.{text[digits - places :]}")
+        p = tmp_path / "decimals.csv"
+        p.write_text("f\n" + "\n".join(texts) + "\n")
+        parsed = _read_csv(p, {"f": (float, np.float64)}).f
+        assert _bits_of(parsed) == _bits_of(list(map(float, texts)))
+
+    @pytest.mark.parametrize("value", [2**63 - 1, -(2**63), 2**63, -(2**63) - 1])
+    def test_int64_bounds_deep_inside_a_plain_chunk(self, tmp_path, value):
+        rows = [_filler(i) for i in range(3 * FILLER_PER_CHUNK)]
+        k = FILLER_PER_CHUNK + FILLER_PER_CHUNK // 2
+        rows[k] = f"{k:06d},{value},0x1d00ffff,m\n"
+        p = tmp_path / "blocks.csv"
+        p.write_text(BLOCK_FIELDS + "\n" + "".join(rows))
+        if -(2**63) <= value < 2**63:
+            blocks = parse_blocks_csv(p)
+            assert blocks.timestamp[k] == value and blocks.timestamp.dtype == np.int64
+            assert blocks.timestamp[k + 1] == 1700000000 + 600 * (k + 1)
+        else:
+            with pytest.raises(ParseError, match=f"{value} does not fit in int64") as err:
+                parse_blocks_csv(p)
+            assert err.value.line == k + 2
 
 
 class TestBuildPeriodRecord:

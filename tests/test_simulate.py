@@ -7,7 +7,7 @@ import pytest
 
 from forkcast import simulate
 from forkcast.errors import InvalidModel
-from forkcast.estimate import MomentPair, estimate_hash_rates, method_of_moments
+from forkcast.estimate import MomentPair, add_zero_miners, estimate_hash_rates, method_of_moments
 from forkcast.forkrate import fork_rate_iid
 from forkcast.model import (
     BlockCounts,
@@ -181,25 +181,42 @@ class TestRowBlocks:
             outcomes.append(simulate_fork_rate(cfg))
         assert all(out == outcomes[0] for out in outcomes)
 
+    @pytest.mark.parametrize("kind", [SemiEmpiricalIID, SemiEmpiricalINID])
+    def test_posterior_draws_for_any_block_size(self, monkeypatch, kind):
+        # posterior rates are drawn block by block too, zero counts last
+        model = kind(add_zero_miners(_COUNTS, 20), _GAMMA)
+        cfg = SimConfig(model, 2.0, 301, seed=3, threads=1)
+        outcomes = []
+        for elements in (1, 3 * 55 + 1, BLOCK_ELEMENTS, CHUNK_ELEMENTS * 55):
+            monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", elements)
+            outcomes.append(simulate_fork_rate(cfg))
+        assert all(out == outcomes[0] for out in outcomes)
+
 
 _COUNTS = BlockCounts(REFERENCE_COUNTS)
 _GAMMA = _COUNTS.total / REFERENCE_LAMBDA
-# the four models of the benchmark's validate workload, n = 35
+_ZERO_COUNTS = add_zero_miners(_COUNTS, 20)
+# the four models of the benchmark's validate workload (n = 35), and the
+# posteriors with 20 zero-count miners (n = 55); bounds are in chunk arrays
 CHUNK_MODELS = {
     "lognormal": (IIDNull(method_of_moments(MomentPair(5e-5, 1e-4), "lognormal"), 35), 1.5),
     "fixed": (Fixed(estimate_hash_rates(_COUNTS, REFERENCE_LAMBDA)), 1.5),
-    "semi-iid": (SemiEmpiricalIID(_COUNTS, _GAMMA), 2.25),
-    "semi-inid": (SemiEmpiricalINID(_COUNTS, _GAMMA), 2.25),
+    "semi-iid": (SemiEmpiricalIID(_COUNTS, _GAMMA), 2.1),
+    "semi-inid": (SemiEmpiricalINID(_COUNTS, _GAMMA), 1.2),
+    "semi-iid-zero": (SemiEmpiricalIID(_ZERO_COUNTS, _GAMMA), 2.1),
+    "semi-inid-zero": (SemiEmpiricalINID(_ZERO_COUNTS, _GAMMA), 1.6),
 }
 
 
 class TestChunkMemory:
     @pytest.mark.parametrize("name", CHUNK_MODELS)
     def test_chunk_peak_is_the_rate_matrix(self, name):
-        # only the rates are full-size; a posterior holds its counts and its
-        # draws at once while it samples them
+        # only the rates are full-size; a posterior mixture also holds the
+        # member drawn for each rate, and zero counts add a mask and their
+        # gamma draws
         model, bound = CHUNK_MODELS[name]
         pop = population(model)
+        n = int(np.sum(pop[1]))
         fixed = _sample_rates(pop, _rng(1, 0), 1) if isinstance(model, Fixed) else None
         tracemalloc.start()
         try:
@@ -207,7 +224,7 @@ class TestChunkMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * CHUNK_ROUNDS * 35 * 8
+        assert peak <= bound * CHUNK_ROUNDS * n * 8
 
 
 @dataclass(frozen=True)
