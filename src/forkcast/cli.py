@@ -71,7 +71,7 @@ EXIT_INTERNAL = 4
 REPORT_SCHEMA_VERSION = 1
 MODEL_SCHEMA_VERSION = 1
 
-FIT_FAMILIES = ("exp", "lognormal", "tpl", "semi-iid", "semi-inid")
+FIT_FAMILIES = FAMILY_KINDS + ("semi-iid", "semi-inid")
 
 
 # ---------------------------------------------------------------------------
@@ -189,7 +189,7 @@ def cmd_fit(args) -> int:
         doc.update(model_to_json(model))
     else:
         family = method_of_moments(mp, args.family)
-        if args.family == "exp" and mp.m > 0:
+        if args.family == "exp":
             mismatch = abs(mp.s - mp.m) / mp.m
             if mismatch > 1e-9:
                 notes.append(
@@ -198,7 +198,6 @@ def cmd_fit(args) -> int:
         if args.family == "tpl" and mp.s <= mp.m:
             notes.append("s <= m gives a non-positive tpl shape exponent alpha")
         doc.update(model_to_json(IIDNull(family, counts.n)))
-        doc["family"] = family_to_json(family)
     _print_json(doc)
     return EXIT_OK
 
@@ -543,7 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("band", help="confidence band on the fork-rate curve")
     p.add_argument("--blocks", required=True)
     p.add_argument("--lambda", dest="lambda_total", type=float, required=True)
-    p.add_argument("--family", choices=("exp", "lognormal", "tpl"), required=True)
+    p.add_argument("--family", choices=FAMILY_KINDS, required=True)
     p.add_argument("--delta0-grid", required=True,
                    help="comma-separated delays, seconds")
     p.add_argument("--samples", type=int, default=200)

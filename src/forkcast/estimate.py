@@ -202,10 +202,10 @@ def confidence_band(
     """Percentile band of fork-rate curves under (m, s^2) sampling noise.
 
     Draws ``(m, s^2)`` from their Gaussian sampling laws, refits the family
-    per draw and evaluates the curve on the grid.  Draws with m <= 0 or
-    with s^2 below a small positive floor are rejected and replaced (the
-    Gaussian approximation admits negative variances); replacements are
-    capped at 10x the requested sample count.
+    per draw and evaluates the curve on the grid.  Of 10x the requested
+    sample count of draws, the first ``n_samples`` with m > 0 and s^2 at
+    or above a small positive floor are used (the Gaussian approximation
+    admits negative variances).
     """
     if n_samples < 100:
         raise InvalidModel(f"n_samples must be >= 100, got {n_samples}")
@@ -222,20 +222,16 @@ def confidence_band(
     s2_floor = _S2_FLOOR_FRACTION * s2_hat
 
     rng = np.random.Generator(np.random.Philox(key=seed))
-    accepted: list[tuple[float, float]] = []
-    attempts = 0
     cap = _RESAMPLE_CAP_FACTOR * n_samples
-    while len(accepted) < n_samples:
-        if attempts >= cap:
-            raise InvalidMoments(
-                f"could not draw {n_samples} usable (m, s^2) pairs in {cap} attempts"
-            )
-        attempts += 1
-        m_draw = mp.m + sd_m * rng.standard_normal()
-        s2_draw = s2_hat + sd_s2 * rng.standard_normal()
-        if m_draw <= 0 or s2_draw < s2_floor:
-            continue
-        accepted.append((m_draw, math.sqrt(s2_draw)))
+    z = rng.standard_normal((cap, 2))
+    m_draws = mp.m + sd_m * z[:, 0]
+    s2_draws = s2_hat + sd_s2 * z[:, 1]
+    keep = np.flatnonzero((m_draws > 0) & (s2_draws >= s2_floor))[:n_samples]
+    if keep.size < n_samples:
+        raise InvalidMoments(
+            f"could not draw {n_samples} usable (m, s^2) pairs in {cap} attempts"
+        )
+    accepted = zip(m_draws[keep].tolist(), np.sqrt(s2_draws[keep]).tolist())
 
     n = counts.n
     curves = np.empty((n_samples, len(grid)))

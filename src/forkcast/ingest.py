@@ -25,12 +25,13 @@ newlines, found in one numpy pass; that is how ``csv.reader`` splits such
 text.  Each column of a plain chunk is converted at once, by a route its
 converter picks: ``int`` fields by a digit kernel, ``float`` fields by an
 exact m / 10^k kernel, and any other converter, or a number outside its
-kernel's grammar, once per distinct field.  From the first chunk that is
-not plain, or whose converter rejects a value, ``csv.reader`` splits the
-rest of the file, and its rows are converted a column at a time; bytes
-that are not UTF-8 send the whole file through ``csv.reader``.  No line
-numbers are kept: a file that is rejected is re-scanned to find the line
-of its first bad row.
+kernel's grammar, once per distinct field.  There is one hand-off: from
+the first byte of the first chunk that is not plain, whose converter
+rejects a value or that has a field too wide for a key (from byte 0 for
+an empty file or a header line with a quote or a CR), ``csv.reader``
+splits the rest of the file, and its rows are converted a column at a
+time.  No line numbers are kept: a file that is rejected is re-scanned
+to find the line of its first bad row.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import bisect
 import csv
 import datetime as dt
 import functools
-import io
 import itertools
 import math
 import operator
@@ -250,23 +250,21 @@ def _distinct(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
 def _extend_plain(chunk: bytes, width: int, picks: list, fields: list) -> int:
     """Append one array per field from a chunk of whole lines; the lines, or 0 if not plain.
 
-    A chunk is plain when it has no quote, CR or NUL, no blank line, no
-    field longer than the csv field size limit and exactly ``width``
-    fields on every line; ``csv.reader`` splits such text at its commas
-    and newlines.  Those are found in one pass over the bytes, and each
-    picked column is converted in one go: ``int`` and ``float`` columns by
-    :func:`_numbers`, the others (and any number outside its grammar) by
-    :func:`_distinct`.  A chunk that is not plain, holds a value that a
-    converter rejects or a field too wide for a key, appends nothing and
-    is left to ``csv.reader``.  Bytes that are not UTF-8 raise
-    ``UnicodeDecodeError``.
+    ``width`` is the header's field count.  Commas and newlines are found
+    in one pass over the bytes, and each picked column is converted in one
+    go: ``int`` and ``float`` columns by :func:`_numbers`, the others (and
+    any number outside its grammar) by :func:`_distinct`.  A chunk that is
+    not plain, holds a value that a converter rejects or a field too wide
+    for a key appends nothing.
     """
     if not chunk.endswith(b"\n"):  # the last line of a file with no final newline
         chunk += b"\n"
     if b'"' in chunk or b"\r" in chunk or b"\0" in chunk:
         return 0
-    if not chunk.isascii():
-        chunk.decode()
+    try:
+        chunk.isascii() or chunk.decode()
+    except UnicodeDecodeError:
+        return 0
     data = bytes(_PAD) + chunk
     buf = np.frombuffer(data, np.uint8)
     newline = buf == 10
@@ -313,40 +311,36 @@ def _header(fname: str, header: list | None, columns: Mapping) -> list:
     return [(position[c], convert, dtype) for c, (convert, dtype) in columns.items()]
 
 
-def _read_fields(path: str | Path, columns: Mapping, plain: bool) -> list[list]:
-    """Per named column, the arrays and lists of its values; see :func:`_read_csv`.
+def _read_fields(path: str | Path, columns: Mapping) -> list[list]:
+    """Per named column, the arrays and lists of its values.
 
-    With ``plain``, the body is read in chunks of about :data:`_CHUNK_CHARS`
-    bytes of whole lines, and each plain chunk goes through
-    :func:`_extend_plain`.  The first chunk that is not plain, and the rest
-    of the file, go through ``csv.reader``, as does a whole file whose
-    header line has a quote or a CR.
+    Plain chunks hold about :data:`_CHUNK_CHARS` bytes of whole lines;
+    ``csv.reader`` rows are converted :data:`_CHUNK_ROWS` at a time.
     """
     fname = str(path)
     with open(path, "r", encoding="utf-8", newline="") as text:
         raw = text.buffer  # read as bytes until csv.reader takes over
-        offset, lines, picks = 0, (), None  # lines read before the reader's first
+        at, offset, picks = 0, 0, None  # the reader's first byte and the lines before it
         try:
             head = raw.readline()
-            if plain and head and not (b'"' in head or b"\r" in head):
+            if head and not (b'"' in head or b"\r" in head):
                 reader = csv.reader([head.decode()])
                 header = next(reader)
                 picks = _header(fname, header, columns)
                 fields = [[] for _ in picks]
-                offset = 1
+                at, offset = len(head), 1
                 while chunk := raw.read(_CHUNK_CHARS):
                     if not chunk.endswith(b"\n"):
                         chunk += raw.readline()
                     done = _extend_plain(chunk, len(header), picks, fields)
                     if not done:
-                        lines = io.StringIO(chunk.decode(), newline="")
                         break
+                    at += len(chunk)
                     offset += done
                 else:
                     return fields
-            else:
-                raw.seek(0)
-            reader = csv.reader(itertools.chain(lines, text))
+            text.seek(at)
+            reader = csv.reader(text)
             if picks is None:
                 picks = _header(fname, next(reader, None), columns)
                 fields = [[] for _ in picks]
@@ -375,32 +369,15 @@ def _read_csv(
 ) -> np.recarray:
     """Record array of the named columns of a CSV file with a header row.
 
-    ``columns`` maps each required name to a field converter and a dtype.
-    The body is read as bytes, in chunks of whole lines.  A plain chunk
-    (see :func:`_extend_plain`) is split at the commas and newlines that
-    one numpy pass finds, and each named column is converted at once by
-    one of three routes, picked by its converter: ``int`` fields of an
-    optional sign and up to 18 digits by a digit kernel, ``float`` fields
-    of up to 16 digits and one point by an exact m / 10^k kernel (both
-    :func:`_numbers`), and every other converter, or a column with a
-    number outside its kernel's grammar, once per distinct field
-    (:func:`_distinct`).  ``csv.reader`` takes over from the first chunk
-    that is quoted or irregular, whose converter rejects a value or that
-    has a field too wide for a key, and splits the rest of the file; its
-    non-blank rows are converted in chunks of :data:`_CHUNK_ROWS`, one
-    pass per column.  Bytes that are not UTF-8 send the whole file through
-    ``csv.reader``.  Either way the values are the converters' own.  A
-    converter's ``ValueError``, a row too short for a named column, a
-    ``csv.Error``, bytes that are not UTF-8 and an integer outside the
-    dtype raise :class:`ParseError` at the row's line.
+    ``columns`` maps each required name to a field converter and a dtype;
+    the values are the converters' own.  A converter's ``ValueError``, a
+    row too short for a named column, a ``csv.Error``, bytes that are not
+    UTF-8 and an integer outside the dtype raise :class:`ParseError` at
+    the row's line.
     """
     fname = str(path)
     try:
-        try:
-            fields = _read_fields(path, columns, plain=True)
-        except UnicodeDecodeError:
-            # csv.reader alone reports a bad value before the byte first
-            fields = _read_fields(path, columns, plain=False)
+        fields = _read_fields(path, columns)
     except UnicodeDecodeError as exc:
         # the decoder reads ahead in chunks: find the line in the raw bytes
         data = Path(path).read_bytes()

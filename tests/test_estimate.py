@@ -214,6 +214,12 @@ class TestConfidenceBand:
                 percentiles=(95.0, 5.0),
             )
 
+    def test_too_few_usable_draws(self, reference_counts, reference_lambda, monkeypatch):
+        # a floor far above s^2 rejects every one of the capped draws
+        monkeypatch.setattr(estimate, "_S2_FLOOR_FRACTION", 100.0)
+        with pytest.raises(InvalidMoments, match="could not draw 100 usable .* in 1000 attempts"):
+            confidence_band(reference_counts, reference_lambda, "exp", (1.0,), 100)
+
     @pytest.mark.parametrize("bad", [math.nan, -1.0, 1e-310, math.inf])
     def test_bad_delay_rejected_before_any_draw(
         self, reference_counts, reference_lambda, bad, monkeypatch

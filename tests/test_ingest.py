@@ -1,5 +1,6 @@
 import csv
 import datetime as dt
+import io
 import math
 import tracemalloc
 from fractions import Fraction
@@ -374,6 +375,13 @@ class TestParsers:
         assert err.value.line == line
         assert str(err.value).startswith(f"{p}:{line}:")
 
+    def test_oversized_header_field_reports_line_1(self, tmp_path):
+        p = tmp_path / "stale.csv"
+        p.write_text("height," + "n" * 200_000 + "\n1,2\n")  # beyond the field size limit
+        with pytest.raises(ParseError, match="field larger than field limit") as err:
+            parse_stale_csv(p)
+        assert err.value.line == 1
+
     def test_first_bad_row_in_file_order_across_columns(self, tmp_path):
         p = tmp_path / "blocks.csv"
         p.write_text(f"{BLOCK_FIELDS}\n1,2,0x1d00ffff,a\n2,3,0xzz,b\nx,4,0x1d00ffff,c\n")
@@ -534,22 +542,46 @@ def _filler(i):
 FILLER_PER_CHUNK = _CHUNK_CHARS // len(_filler(0))
 
 
-def _oracle_blocks(path):
-    """Rows or the line of the first bad row, by ``csv.reader`` on every row."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        at = [header.index(c) for c in BLOCK_FIELDS.split(",")]
-        rows = []
-        try:
-            for row in reader:
-                if row:
-                    height, stamp, bits, miner = (row[i] for i in at)
-                    rows.append((int(height), int(stamp), _bits(bits), miner.strip()))
-        except (IndexError, ValueError, csv.Error):
-            return reader.line_num
-    return rows
+# bytes of one read-ahead of the text decoder that feeds csv.reader
+DECODER_READ = 8192
 
+
+def _oracle_blocks(path):
+    """Rows by ``csv.reader`` on every row, or the lines where the first error may be reported.
+
+    A bad row is reported at the line on which it ends, a byte that is not
+    UTF-8 at its own line.  The byte is the error when the bad row ends
+    after it, the bad row when it ends at least one decoder read-ahead
+    before the byte; nearer, where the decoder's reads fall decides.
+    """
+    data = path.read_bytes()
+    reader = csv.reader(io.StringIO(data.decode(errors="surrogateescape"), newline=""))
+    header = next(reader)
+    at = [header.index(c) for c in BLOCK_FIELDS.split(",")]
+    rows, bad = [], None
+    try:
+        for row in reader:
+            if row:
+                height, stamp, bits, miner = (row[i] for i in at)
+                rows.append((int(height), int(stamp), _bits(bits), miner.strip()))
+    except (IndexError, ValueError, csv.Error):
+        bad = reader.line_num
+    try:
+        data.decode()
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        if bad is not None:
+            end = sum(map(len, data.splitlines(keepends=True)[:bad]))
+            if end <= exc.start:
+                return (bad,) if exc.start - end >= DECODER_READ else (bad, line)
+        return (line,)
+    return rows if bad is None else (bad,)
+
+
+# a byte that is not UTF-8: the surrogate is written as the byte 0xff
+NOT_UTF8 = "7,1700000000,0x1d00ffff,\udcff"
+# plain rows that span more than one decoder read-ahead
+GAP = "".join(map(_filler, range(300))).rstrip("\n")
 
 # one irregular row or line, written with its own line ending
 IRREGULAR = st.one_of(
@@ -565,6 +597,8 @@ IRREGULAR = st.one_of(
         "7,1700000000,0x1d00ffff,nul\x00",
         "x,1700000000,0x1d00ffff,m",  # bad value
         "7,1700000000,0xzz,m",
+        NOT_UTF8,
+        GAP,
     ]),
     st.builds(lambda i: _filler(i).rstrip("\n"), st.integers(0, 99_999)),
 )
@@ -585,6 +619,14 @@ class TestPlainChunks:
                         ("7,1700000000,0x1d00ffff", "\n")], after=3, final_newline=True)
     @example(before=FILLER_PER_CHUNK + 1, irregular=[('7,1700000000,0x1d00ffff,"q"', "\n")],
              after=0, final_newline=False)
+    @example(before=FILLER_PER_CHUNK - 1,
+             irregular=[("x,1700000000,0x1d00ffff,m", "\n"), (GAP, "\r\n"), (NOT_UTF8, "\n")],
+             after=3, final_newline=True)
+    @example(before=3, irregular=[(NOT_UTF8, "\r"), (GAP, "\n"), ("7,1700000000,0xzz,m", "\n")],
+             after=FILLER_PER_CHUNK + 2, final_newline=True)
+    @example(before=FILLER_PER_CHUNK + 1,
+             irregular=[("7,1700000000,0x1d00ffff", "\n"), (NOT_UTF8, "\n")],
+             after=1, final_newline=False)
     @settings(max_examples=100, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_same_as_csv_reader(self, tmp_path, before, irregular, after, final_newline):
@@ -594,12 +636,12 @@ class TestPlainChunks:
         if not final_newline:
             text = text.rstrip("\n")
         p = tmp_path / "blocks.csv"
-        p.write_bytes(text.encode())
+        p.write_bytes(text.encode(errors="surrogateescape"))
         expected = _oracle_blocks(p)
-        if isinstance(expected, int):
+        if isinstance(expected, tuple):
             with pytest.raises(ParseError) as err:
                 parse_blocks_csv(p)
-            assert err.value.line == expected
+            assert err.value.line in expected
         else:
             assert _rows(parse_blocks_csv(p)) == expected
 
@@ -632,6 +674,26 @@ class TestPlainChunks:
         with pytest.raises(ParseError, match="invalid literal") as err:
             parse_blocks_csv(p)
         assert err.value.line == bad + 2
+
+    def test_non_utf8_byte_in_the_third_chunk(self, tmp_path, monkeypatch):
+        rows = [_filler(i).encode() for i in range(3 * FILLER_PER_CHUNK)]
+        k = 2 * FILLER_PER_CHUNK + 1000
+        rows[k] = rows[k].replace(b"m", b"\xff")
+        p = tmp_path / "blocks.csv"
+        p.write_bytes(BLOCK_FIELDS.encode() + b"\n" + b"".join(rows))
+        heights = []
+
+        def convert(path, chunk, *args):
+            heights.extend(int(row[0]) for row in chunk)
+            return plain_convert(path, chunk, *args)
+
+        plain_convert = ingest._convert
+        monkeypatch.setattr(ingest, "_convert", convert)
+        with pytest.raises(ParseError, match="not UTF-8") as err:
+            parse_blocks_csv(p)
+        assert err.value.line == k + 2
+        # csv.reader starts at the third chunk: the first two stay parsed
+        assert heights and min(heights) >= 2 * FILLER_PER_CHUNK
 
     def test_lowered_field_size_limit_is_honoured(self, tmp_path):
         rows = [_filler(i) for i in range(100)]

@@ -201,9 +201,9 @@ _ZERO_COUNTS = add_zero_miners(_COUNTS, 20)
 CHUNK_MODELS = {
     "lognormal": (IIDNull(method_of_moments(MomentPair(5e-5, 1e-4), "lognormal"), 35), 1.5),
     "fixed": (Fixed(estimate_hash_rates(_COUNTS, REFERENCE_LAMBDA)), 1.5),
-    "semi-iid": (SemiEmpiricalIID(_COUNTS, _GAMMA), 2.1),
+    "semi-iid": (SemiEmpiricalIID(_COUNTS, _GAMMA), 1.6),
     "semi-inid": (SemiEmpiricalINID(_COUNTS, _GAMMA), 1.2),
-    "semi-iid-zero": (SemiEmpiricalIID(_ZERO_COUNTS, _GAMMA), 2.1),
+    "semi-iid-zero": (SemiEmpiricalIID(_ZERO_COUNTS, _GAMMA), 1.6),
     "semi-inid-zero": (SemiEmpiricalINID(_ZERO_COUNTS, _GAMMA), 1.6),
 }
 
