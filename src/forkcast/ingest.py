@@ -385,7 +385,9 @@ def _read_csv(
             data.decode("utf-8")
         except UnicodeDecodeError as whole:
             exc = whole
-        line = data.count(b"\n", 0, exc.start) + 1
+        # line ends as csv.reader counts them: "\r\n", a lone "\r" and "\n"
+        cr, lf = data.count(b"\r", 0, exc.start), data.count(b"\n", 0, exc.start)
+        line = cr + lf - data.count(b"\r\n", 0, exc.start) + 1
         raise ParseError(fname, line, f"not UTF-8: {exc.reason}") from None
     # np.rec.fromarrays allocates with np.empty, many times slower than
     # np.zeros when a field holds objects

@@ -534,26 +534,20 @@ class PosteriorTransform(_Transform):
         """One draw per entry of the float count array ``b``, which it may overwrite.
 
         A rate's reciprocal is inverse Gaussian with mean gamma/b and shape
-        gamma (``wald`` draws for every b > 0, in order); at b = 0 the rate
-        is Gamma(1/2, rate gamma/2) (one ``gamma`` call after them).  The
-        positive counts are drawn in row blocks of
-        :data:`.simulate.BLOCK_ELEMENTS` entries, so beyond ``b`` the peak
-        memory is one block's temporaries, plus a mask of ``b`` and the
-        gamma draws when a count is zero.
+        gamma (one ``wald`` call for every b > 0, in order); at b = 0 the
+        rate is Gamma(1/2, rate gamma/2) (one ``gamma`` call after it).
+        The simulator calls this once per row block, so ``b`` is small.
         """
-        from .simulate import BLOCK_ELEMENTS  # simulate imports this module
-
-        flat = b.reshape(-1)
-        zero = None if flat.all() else flat == 0
-        for lo in range(0, flat.size, BLOCK_ELEMENTS):
-            block = flat[lo : lo + BLOCK_ELEMENTS]
-            pos = block > 0
-            means = block[pos]
-            draws = rng.wald(np.divide(self.gamma, means, out=means), self.gamma)
-            block[pos] = np.reciprocal(draws, out=draws)
-        if zero is not None:
-            flat[zero] = rng.gamma(0.5, 2.0 / self.gamma, size=np.count_nonzero(zero))
-        return flat.reshape(b.shape)
+        if b.all():  # the same draws, without a mask, gather and scatter
+            draws = rng.wald(np.divide(self.gamma, b, out=b), self.gamma)
+            return np.reciprocal(draws, out=draws)
+        zero = b == 0
+        pos = ~zero
+        means = b[pos]
+        draws = rng.wald(np.divide(self.gamma, means, out=means), self.gamma)
+        b[pos] = np.reciprocal(draws, out=draws)
+        b[zero] = rng.gamma(0.5, 2.0 / self.gamma, size=np.count_nonzero(zero))
+        return b
 
 
 def _logsumexp(rows: np.ndarray, axis: int = 0) -> np.ndarray:

@@ -9,18 +9,17 @@ the fork-rate integral uses; every row draws its columns through its own
 ``sample``.  Fixed rates are point-mass rows, drawn once per experiment.
 
 Reproducibility contract: rounds are partitioned into fixed-size chunks
-(sized by the miner count, so the arrays of one chunk stay bounded) and
-chunk ``k`` draws from an independent counter-based stream derived from
-``(seed, k)`` (Philox, jumped).  Partial results are reduced in chunk
-order, so the outcome is bit-identical for any thread count.
+(sized by the miner count only) and chunk ``k`` draws from its own SFC64
+stream, spawned from ``SeedSequence(seed)`` with spawn key ``k + 1``; key 0
+draws the experiment-level fixed rates.  Partial results are reduced in
+chunk order, so the outcome is bit-identical for any thread count.
 
-Within a chunk the stream is consumed in a fixed order: first every rate
-of the chunk, then the exponential solve times, row block by row block
-(``BLOCK_ELEMENTS`` draws a block, rows in order).  Each block is divided
-by its rates, partitioned and counted in place while it is in cache, so
-only the rate matrix is full-size: a worker thread peaks at about one
-chunk array (two while a posterior model draws its rates), plus one
-fastest time per round.
+Within a chunk the stream is consumed row block by row block
+(``BLOCK_ELEMENTS`` cells a block, rows in order): each block draws its
+rates, then its exponential solve times, and is divided, partitioned and
+counted while it is in cache.  The outcome therefore depends on the chunk
+and block sizes, never on the thread count.  A worker thread holds a few
+row blocks plus one fastest time per round of its chunk.
 """
 
 from __future__ import annotations
@@ -84,18 +83,20 @@ class SimOutcome:
     rounds: int
 
 
-def _rng(seed: int, jumps: int) -> np.random.Generator:
-    # the unjumped stream (jump 0) draws experiment-level fixed rate
-    # vectors; chunk k of the experiment uses jump k + 1
-    return np.random.Generator(np.random.Philox(key=seed).jumped(jumps))
+def _rng(seed: int, key: int) -> np.random.Generator:
+    # key 0 draws experiment-level fixed rate vectors; chunk k of the
+    # experiment uses key k + 1
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(key,))))
 
 
 def _chunk_rounds(n: int) -> int:
-    """Rounds per chunk for ``n`` miners: at most ``CHUNK_ELEMENTS`` per array.
+    """Rounds per chunk for ``n`` miners: at most ``CHUNK_ELEMENTS`` cells.
 
-    The size depends on the model only, never on the thread count, so the
-    chunk partition (and with it every result) is the same for any number
-    of threads.  Up to 64 miners a chunk is the full ``CHUNK_ROUNDS``.
+    A chunk is the parallel grain, so its work is bounded; memory is not
+    its concern, since a worker draws one row block at a time.  The size
+    depends on the model only, never on the thread count, so the chunk
+    partition (and with it every result) is the same for any number of
+    threads.  Up to 64 miners a chunk is the full ``CHUNK_ROUNDS``.
     """
     return min(CHUNK_ROUNDS, max(1, CHUNK_ELEMENTS // n))
 
@@ -125,22 +126,19 @@ def _sample_rates(pop, rng: np.random.Generator, rounds: int) -> np.ndarray:
 def _run_chunk(pop, fixed_rates, delta0: float, rng: np.random.Generator, rounds: int):
     """``(forks, sum of first solve times)`` over ``rounds`` rounds.
 
-    The rates come first; the exponentials then continue the same stream
-    in row blocks of about ``BLOCK_ELEMENTS``.  The fastest times of all
-    blocks are summed once, so the sum does not depend on the block size.
+    Each row block of about ``BLOCK_ELEMENTS`` cells draws its rates (unless
+    they are fixed), then its exponentials from the same stream.  The
+    fastest times of all blocks are summed once, in round order.
     """
-    if fixed_rates is None:
-        rates = _sample_rates(pop, rng, rounds)
-    else:
-        rates = np.broadcast_to(fixed_rates, (rounds, fixed_rates.shape[-1]))
-    n = rates.shape[-1]
+    n = int(np.sum(pop[1]))
     step = max(1, BLOCK_ELEMENTS // n)
     first = np.empty(rounds)
     n_fork = 0
     for lo in range(0, rounds, step):
         hi = min(lo + step, rounds)
+        rates = fixed_rates if fixed_rates is not None else _sample_rates(pop, rng, hi - lo)
         times = rng.standard_exponential((hi - lo, n))
-        times /= rates[lo:hi]
+        times /= rates
         times.partition(1, axis=1)
         first[lo:hi] = times[:, 0]
         n_fork += int(np.count_nonzero(times[:, 1] - times[:, 0] < delta0))

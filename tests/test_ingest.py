@@ -375,6 +375,17 @@ class TestParsers:
         assert err.value.line == line
         assert str(err.value).startswith(f"{p}:{line}:")
 
+    @pytest.mark.parametrize("end", [b"\r", b"\r\n", b"\n"])
+    def test_non_utf8_byte_line_counts_every_line_end(self, tmp_path, end):
+        # csv.reader ends a line at "\r\n", a lone "\r" or "\n": the byte's
+        # line is counted the same way as a bad value's
+        p = tmp_path / "stale.csv"
+        for bad, message in ((b"\xff", "not UTF-8"), (b"x", "invalid literal")):
+            p.write_bytes(end.join([b"height", b"1", b"2", bad, b""]))
+            with pytest.raises(ParseError, match=message) as err:
+                parse_stale_csv(p)
+            assert err.value.line == 4
+
     def test_oversized_header_field_reports_line_1(self, tmp_path):
         p = tmp_path / "stale.csv"
         p.write_text("height," + "n" * 200_000 + "\n1,2\n")  # beyond the field size limit
@@ -569,7 +580,8 @@ def _oracle_blocks(path):
     try:
         data.decode()
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # splitlines ends lines where csv.reader does: "\r\n", "\r" and "\n"
+        line = len((data[: exc.start] + b"x").splitlines())
         if bad is not None:
             end = sum(map(len, data.splitlines(keepends=True)[:bad]))
             if end <= exc.start:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
 from scipy.integrate import quad as scipy_quad
 
 from forkcast.errors import InvalidFamily, NonConvergent, NonFinite
@@ -372,6 +373,23 @@ class TestSamplers:
         rng = np.random.default_rng(5)
         mix = posterior_mixture((0, 3, 3, 40), 1e4)
         self.assert_column_means(mix.sample(rng, (self.N, 2)), mix.mean())
+
+    @pytest.mark.parametrize("mixed", [False, True])
+    @pytest.mark.parametrize("b", [0, 1, 35, 6295])
+    def test_posterior_count_draws_follow_their_law(self, b, mixed):
+        # a positive count's reciprocal rates are inverse Gaussian with mean
+        # gamma/b and shape gamma, a zero count's rates Gamma(1/2, rate
+        # gamma/2); mixed arrays interleave a column of the other branch
+        gamma = 1e4
+        counts = np.full((self.N, 2 if mixed else 1), float(b))
+        counts[:, 1:] = 0.0 if b else 3.0
+        rng = np.random.Generator(np.random.SFC64(b))
+        draws = PosteriorTransform(b, gamma).sample_counts(rng, counts)[:, 0]
+        if b:
+            sample, law = 1 / draws, stats.invgauss(1 / b, scale=gamma)
+        else:
+            sample, law = draws, stats.gamma(0.5, scale=2 / gamma)
+        assert stats.kstest(sample, law.cdf).pvalue > 1e-3
 
     def test_point_mass_draws_its_rate(self):
         draws = PointMassTransform(0.001).sample(np.random.default_rng(6), (4, 2))

@@ -157,7 +157,7 @@ class TestChunkSize:
 
 
 class TestRowBlocks:
-    """Exponentials drawn in row blocks continue one stream: no block size shows."""
+    """Each row block draws its rates, then its exponentials, from the chunk's stream."""
 
     @pytest.mark.parametrize("n", [2, 35, 100, 350])
     def test_thread_invariant_across_partial_blocks(self, n):
@@ -172,59 +172,100 @@ class TestRowBlocks:
         assert one == two
 
     @pytest.mark.parametrize("n", [2, 35, 350])
-    def test_same_outcome_for_any_block_size(self, monkeypatch, n):
-        model = INIDNull([Exponential(20000.0)] * (n - n // 2) + [LogNormal(-10.7, 1.2)] * (n // 2))
-        cfg = SimConfig(model, 2.0, 3 * _chunk_rounds(n) // 2, seed=n, threads=1)
-        outcomes = []
+    def test_chunk_matches_reference_for_any_block_size(self, monkeypatch, n):
+        a = n - n // 2
+        model = INIDNull([Exponential(20000.0)] * a + [LogNormal(-10.7, 1.2)] * (n // 2))
+
+        def rates(rng, rows):  # population order: the exponential members first
+            return np.hstack([rng.exponential(1 / 20000.0, (rows, a)),
+                              rng.lognormal(-10.7, 1.2, (rows, n // 2))])
+
         for elements in (1, 3 * n + 1, BLOCK_ELEMENTS, CHUNK_ELEMENTS * n):
             monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", elements)
-            outcomes.append(simulate_fork_rate(cfg))
-        assert all(out == outcomes[0] for out in outcomes)
+            rounds = _rounds_for(elements, n)
+            got = _run_chunk(population(model), None, 2.0, _rng(n, 1), rounds)
+            assert got == _reference_chunk(rates, n, 2.0, _spawned(n, 1), rounds, elements)
 
-    @pytest.mark.parametrize("kind", [SemiEmpiricalIID, SemiEmpiricalINID])
-    def test_posterior_draws_for_any_block_size(self, monkeypatch, kind):
-        # posterior rates are drawn block by block too, zero counts last
-        model = kind(add_zero_miners(_COUNTS, 20), _GAMMA)
-        cfg = SimConfig(model, 2.0, 301, seed=3, threads=1)
-        outcomes = []
-        for elements in (1, 3 * 55 + 1, BLOCK_ELEMENTS, CHUNK_ELEMENTS * 55):
+    @pytest.mark.parametrize("iid", [True, False])
+    def test_posterior_chunk_matches_reference_for_any_block_size(self, monkeypatch, iid):
+        # semi-IID draws a member per rate, semi-INID has one column per miner,
+        # in ascending count order; both draw wald for the positive counts,
+        # then gamma for the zero counts
+        members = np.sort(np.asarray(_ZERO_COUNTS.counts, dtype=float))
+        n = members.size
+        model = (SemiEmpiricalIID if iid else SemiEmpiricalINID)(_ZERO_COUNTS, _GAMMA)
+
+        def rates(rng, rows):
+            if iid:
+                b = members[rng.integers(0, n, (rows, n), dtype=np.int32)]
+            else:
+                b = np.tile(members, (rows, 1))
+            out, pos = np.empty_like(b), b > 0
+            out[pos] = 1 / rng.wald(_GAMMA / b[pos], _GAMMA)
+            out[~pos] = rng.gamma(0.5, 2 / _GAMMA, np.count_nonzero(~pos))
+            return out
+
+        for elements in (1, 3 * n + 1, BLOCK_ELEMENTS, CHUNK_ELEMENTS * n):
             monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", elements)
-            outcomes.append(simulate_fork_rate(cfg))
-        assert all(out == outcomes[0] for out in outcomes)
+            rounds = _rounds_for(elements, n)
+            got = _run_chunk(population(model), None, 2.0, _rng(3, 1), rounds)
+            assert got == _reference_chunk(rates, n, 2.0, _spawned(3, 1), rounds, elements)
+
+
+def _rounds_for(elements, n):
+    """A few row blocks and a partial last one, within one chunk."""
+    return min(_chunk_rounds(n), 5 * max(1, elements // n) // 2 + 10)
+
+
+def _spawned(seed, key):
+    """Chunk streams are SFC64, spawned from the seed with one key per chunk."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(key,))))
+
+
+def _reference_chunk(rates, n, delta0, rng, rounds, elements):
+    """``_run_chunk`` written plainly: per row block, its rates, then its exponentials."""
+    step = max(1, elements // n)
+    firsts, forks = [], 0
+    for lo in range(0, rounds, step):
+        rows = min(step, rounds - lo)
+        r = rates(rng, rows)
+        times = np.sort(rng.standard_exponential((rows, n)) / r, axis=1)
+        firsts.append(times[:, 0])
+        forks += int(np.sum(times[:, 1] - times[:, 0] < delta0))
+    return forks, float(np.concatenate(firsts).sum())
 
 
 _COUNTS = BlockCounts(REFERENCE_COUNTS)
 _GAMMA = _COUNTS.total / REFERENCE_LAMBDA
 _ZERO_COUNTS = add_zero_miners(_COUNTS, 20)
 # the four models of the benchmark's validate workload (n = 35), and the
-# posteriors with 20 zero-count miners (n = 55); bounds are in chunk arrays
+# posteriors with 20 zero-count miners (n = 55)
 CHUNK_MODELS = {
-    "lognormal": (IIDNull(method_of_moments(MomentPair(5e-5, 1e-4), "lognormal"), 35), 1.5),
-    "fixed": (Fixed(estimate_hash_rates(_COUNTS, REFERENCE_LAMBDA)), 1.5),
-    "semi-iid": (SemiEmpiricalIID(_COUNTS, _GAMMA), 1.6),
-    "semi-inid": (SemiEmpiricalINID(_COUNTS, _GAMMA), 1.2),
-    "semi-iid-zero": (SemiEmpiricalIID(_ZERO_COUNTS, _GAMMA), 1.6),
-    "semi-inid-zero": (SemiEmpiricalINID(_ZERO_COUNTS, _GAMMA), 1.6),
+    "lognormal": IIDNull(method_of_moments(MomentPair(5e-5, 1e-4), "lognormal"), 35),
+    "fixed": Fixed(estimate_hash_rates(_COUNTS, REFERENCE_LAMBDA)),
+    "semi-iid": SemiEmpiricalIID(_COUNTS, _GAMMA),
+    "semi-inid": SemiEmpiricalINID(_COUNTS, _GAMMA),
+    "semi-iid-zero": SemiEmpiricalIID(_ZERO_COUNTS, _GAMMA),
+    "semi-inid-zero": SemiEmpiricalINID(_ZERO_COUNTS, _GAMMA),
 }
 
 
 class TestChunkMemory:
+    @pytest.mark.parametrize("rounds", [CHUNK_ROUNDS, CHUNK_ROUNDS // 4])
     @pytest.mark.parametrize("name", CHUNK_MODELS)
-    def test_chunk_peak_is_the_rate_matrix(self, name):
-        # only the rates are full-size; a posterior mixture also holds the
-        # member drawn for each rate, and zero counts add a mask and their
-        # gamma draws
-        model, bound = CHUNK_MODELS[name]
+    def test_chunk_peak_is_a_few_row_blocks(self, name, rounds):
+        # a block's rates, exponentials and sampler temporaries, plus one
+        # fastest time per round: the peak does not grow with the chunk's rows
+        model = CHUNK_MODELS[name]
         pop = population(model)
-        n = int(np.sum(pop[1]))
         fixed = _sample_rates(pop, _rng(1, 0), 1) if isinstance(model, Fixed) else None
         tracemalloc.start()
         try:
-            _run_chunk(pop, fixed, 2.0, _rng(1, 1), CHUNK_ROUNDS)
+            _run_chunk(pop, fixed, 2.0, _rng(1, 1), rounds)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= bound * CHUNK_ROUNDS * n * 8
+        assert peak <= 6 * BLOCK_ELEMENTS * 8 + 8 * rounds
 
 
 @dataclass(frozen=True)
@@ -280,6 +321,13 @@ class TestValidation:
         kwargs = {"rounds": 10, "seed": 0, "threads": 1, field: bad}
         with pytest.raises(ValueError, match=field):
             SimConfig(Fixed(MinerSet([0.001, 0.001])), 1.0, **kwargs)
+
+    @pytest.mark.parametrize("resample", [True, False])
+    def test_largest_seed_runs(self, resample):
+        # the spawn keys accept every seed in [0, 2**128)
+        model = IIDNull(Exponential(20000.0), 3)
+        cfg = SimConfig(model, 1.0, 100, (1 << 128) - 1, resample_rates=resample)
+        assert simulate_fork_rate(cfg).rounds == 100
 
     def test_numpy_ints_accepted(self):
         cfg = SimConfig(Fixed(MinerSet([0.001, 0.001])), 1.0, np.int64(10), np.uint32(3))

@@ -7,8 +7,10 @@ i.i.d. and independent models run on the reference counts plus 20
 zero-count miners, so their posterior draws take both the ``wald`` and the
 zero-count ``gamma`` branch.  These random streams are part of the
 reproducibility contract: a refactor of the sampler must reproduce them bit
-for bit.  The statistical checks of the semi-empirical models live in
-``test_acceptance.py``.
+for bit.  They hold for the SFC64 chunk streams spawned from the seed, with
+each row block drawing its rates and then its exponentials, so they also pin
+``simulate.BLOCK_ELEMENTS`` and the chunk size.  The statistical checks of
+the semi-empirical models live in ``test_acceptance.py``.
 
 Regenerate (only when a stream change is intended) with::
 
