@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from forkcast.estimate import add_zero_miners
-from forkcast.forkrate import fork_rate_semi_empirical
+from forkcast.forkrate import fork_rate_curve
 from forkcast.model import BlockCounts, SemiEmpiricalINID
 from forkcast.synthetic import REFERENCE_COUNTS, REFERENCE_LAMBDA
 
@@ -29,17 +29,12 @@ def main() -> int:
     zero_counts = [int(z) for z in args.zeros.split(",")]
 
     print("n_zero,delta0,fork_rate,rel_change_vs_baseline")
-    baseline = {
-        d0: fork_rate_semi_empirical(SemiEmpiricalINID(base, gamma), d0).value
-        for d0 in delays
-    }
+    baseline = fork_rate_curve(SemiEmpiricalINID(base, gamma), delays)
     for n_zero in zero_counts:
-        counts = add_zero_miners(base, n_zero)
-        model = SemiEmpiricalINID(counts, gamma)
-        for d0 in delays:
-            value = fork_rate_semi_empirical(model, d0).value
-            rel = (value - baseline[d0]) / baseline[d0]
-            print(f"{n_zero},{d0!r},{value!r},{rel:+.4%}")
+        model = SemiEmpiricalINID(add_zero_miners(base, n_zero), gamma)
+        for d0, res, base_res in zip(delays, fork_rate_curve(model, delays), baseline):
+            rel = (res.value - base_res.value) / base_res.value
+            print(f"{n_zero},{d0!r},{res.value!r},{rel:+.4%}")
     return 0
 
 

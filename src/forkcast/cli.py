@@ -32,10 +32,9 @@ from .estimate import (
     method_of_moments,
 )
 from .forkrate import (
-    conditional_fork_rate,
+    _iid_curve,
     fork_rate,
     fork_rate_curve,
-    fork_rate_iid,
     hhi_from_counts,
     implied_delta0,
     implied_hhi,
@@ -218,22 +217,17 @@ def cmd_forkrate(args) -> int:
         raise ForkcastError(f"--method {args.method} needs a fixed-rate model")
     if args.method == "quadrature" and fixed:
         raise ForkcastError("--method quadrature needs a distributional model")
-    deltas = [float(d) for d in args.delta0.split(",") if d.strip() != ""]
-    rows = []
-    for d0 in deltas:
-        if args.method == "conditional":
-            res = conditional_fork_rate(model.miners, d0)
-        elif args.method == "taylor":
-            res = taylor_fork_rate(model.miners.total, hhi_from_counts(model.miners), d0)
-        elif args.method == "quadrature" and isinstance(model, IIDNull):
-            # the generic path, not the closed form that auto prefers
-            res = fork_rate_iid(model.family, model.n, d0, method="quadrature")
-        else:
-            res = fork_rate(model, d0)
-        rows.append((d0, res))
+    if args.method == "taylor":
+        total, hhi_value = model.miners.total, hhi_from_counts(model.miners)
+        curve = [taylor_fork_rate(total, hhi_value, d0) for d0 in args.delta0]
+    elif args.method == "quadrature" and isinstance(model, IIDNull):
+        # the generic path, not the closed form that auto prefers
+        curve = _iid_curve(model, args.delta0, "quadrature")
+    else:
+        curve = fork_rate_curve(model, args.delta0)
     out = sys.stdout
     out.write("delta0,fork_rate,error_estimate,method\n")
-    for d0, res in rows:
+    for d0, res in zip(args.delta0, curve):
         out.write(
             f"{_num(d0)},{_num(res.value)},{_num(res.error_estimate)},{res.method}\n"
         )
@@ -297,13 +291,12 @@ def cmd_implied(args) -> int:
 
 def cmd_band(args) -> int:
     counts = _counts_from_blocks(args.blocks)
-    grid = [float(d) for d in args.delta0_grid.split(",") if d.strip() != ""]
     low, high = (float(p) for p in args.percentiles.split(","))
     band = confidence_band(
         counts,
         args.lambda_total,
         args.family,
-        grid,
+        args.delta0_grid,
         args.samples,
         percentiles=(low, high),
         seed=args.seed,
@@ -417,6 +410,25 @@ def _families(text: str) -> list[str]:
     return families
 
 
+def _delays(text: str) -> list[float]:
+    """A comma-separated delay list, in seconds, read before any model load or ingest.
+
+    A field that is not a number, or no field at all, is a usage error;
+    a number outside the delay domain (``-2``, ``nan``) fails later, as a
+    numeric error.
+    """
+    delays = []
+    for field in text.split(","):
+        if field.strip():
+            try:
+                delays.append(float(field))
+            except ValueError:
+                raise argparse.ArgumentTypeError(f"not a number: {field!r}") from None
+    if not delays:
+        raise argparse.ArgumentTypeError(f"no delay in {text!r}")
+    return delays
+
+
 def _period_length(text: str) -> int:
     """The ``--period-length``: an integer >= 1, a usage error found before any ingest."""
     try:
@@ -514,7 +526,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", help="blocks.csv path (fixed-rate model)")
     p.add_argument("--lambda", dest="lambda_total", type=float,
                    help="total hash rate, blocks/s (with --blocks)")
-    p.add_argument("--delta0", required=True,
+    p.add_argument("--delta0", type=_delays, required=True,
                    help="comma-separated propagation delays, seconds")
     p.add_argument("--method", choices=("auto", "quadrature", "taylor", "conditional"),
                    default="auto")
@@ -543,7 +555,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--blocks", required=True)
     p.add_argument("--lambda", dest="lambda_total", type=float, required=True)
     p.add_argument("--family", choices=FAMILY_KINDS, required=True)
-    p.add_argument("--delta0-grid", required=True,
+    p.add_argument("--delta0-grid", type=_delays, required=True,
                    help="comma-separated delays, seconds")
     p.add_argument("--samples", type=int, default=200)
     p.add_argument("--percentiles", default="5,95")

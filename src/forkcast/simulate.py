@@ -142,6 +142,7 @@ def _run_chunk(pop, fixed_rates, delta0: float, rng: np.random.Generator, rounds
         times.partition(1, axis=1)
         first[lo:hi] = times[:, 0]
         n_fork += int(np.count_nonzero(times[:, 1] - times[:, 0] < delta0))
+        del rates, times  # freed before the next block draws
     return n_fork, float(first.sum())
 
 

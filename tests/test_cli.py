@@ -4,9 +4,14 @@ import math
 import jsonschema
 import pytest
 
-from forkcast import cli
+from forkcast import cli, quadrature
 from forkcast.cli import main, model_from_json, model_to_json
-from forkcast.forkrate import conditional_fork_rate, fork_rate_iid, taylor_fork_rate
+from forkcast.forkrate import (
+    conditional_fork_rate,
+    fork_rate_curve,
+    fork_rate_iid,
+    taylor_fork_rate,
+)
 from forkcast.model import Fixed, IIDNull, MinerSet, SemiEmpiricalIID, BlockCounts
 from forkcast.quadrature import Exponential, TruncatedPowerLaw
 
@@ -147,6 +152,7 @@ class TestForkrateCommand:
         assert v_taylor == pytest.approx(v_auto, rel=1e-3)
 
     def test_delta_list_matches_library_bit_for_bit(self, fitted_exp_model, capsys):
+        # the list is one curve, and each delay reads as its lone integral
         path, doc = fitted_exp_model
         code, out, _ = run_cli(
             capsys, "forkrate", "--model", str(path), "--delta0", "0.5,1,2",
@@ -154,21 +160,79 @@ class TestForkrateCommand:
         assert code == 0
         family = Exponential(doc["family"]["rate"])
         for line, d0 in zip(out.splitlines()[1:], (0.5, 1.0, 2.0)):
-            fields = line.split(",")
-            assert float(fields[1]) == fork_rate_iid(family, doc["n"], d0).value
+            lone = fork_rate_iid(family, doc["n"], d0)
+            assert line.split(",")[1:3] == [repr(lone.value), repr(lone.error_estimate)]
+
+    @pytest.mark.parametrize("kind", ["lognormal", "semi-iid"])
+    def test_delta_list_integrates_one_curve(self, tmp_path, dataset_dir, capsys, monkeypatch,
+                                             kind):
+        code, out, _ = run_cli(
+            capsys, "fit", "--blocks", str(dataset_dir / "blocks.csv"),
+            "--lambda", "0.0017", "--family", kind,
+        )
+        path = tmp_path / "model.json"
+        path.write_text(out)
+        delays = (0.5, 1.0, 2.0)
+        real_segment = quadrature._gk_segment
+        calls = {"integrand": 0}
+
+        def segment(f, edges):
+            def counted(x):
+                calls["integrand"] += 1
+                return f(x)
+
+            return real_segment(counted, edges)
+
+        monkeypatch.setattr(quadrature, "_gk_segment", segment)
+        fork_rate_curve(model_from_json(json.loads(out)), delays)
+        one_curve, calls["integrand"] = calls["integrand"], 0
+        code, out, _ = run_cli(capsys, "forkrate", "--model", str(path), "--delta0", "0.5,1,2")
+        assert code == 0 and len(out.splitlines()) == 4
+        assert calls["integrand"] == one_curve > 0
+
+    @pytest.mark.parametrize("text, message", [("abc", "not a number: 'abc'"),
+                                               ("0.5,1x,2", "not a number: '1x'"),
+                                               (",", "no delay in ','"),
+                                               ("", "no delay in ''")])
+    @pytest.mark.parametrize("source", ["--model", "--blocks", "band"])
+    def test_bad_delay_list_exits_2_before_any_load(self, capsys, monkeypatch, text, message,
+                                                    source):
+        def load(path):
+            raise AssertionError("a model or blocks file was read")
+
+        monkeypatch.setattr(cli, "_load_model", load)
+        monkeypatch.setattr(cli, "parse_blocks_csv", load)
+        if source == "band":
+            argv = ["band", "--blocks", "b.csv", "--lambda", "0.0017", "--family", "exp",
+                    "--seed", "1", "--delta0-grid", text]
+        else:
+            argv = ["forkrate", source, "m", "--lambda", "0.0017", "--delta0", text]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        option = "--delta0-grid" if source == "band" else "--delta0"
+        assert f"{option}: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["-2", "nan", "0.5,inf"])
+    def test_delay_out_of_domain_exits_3(self, fitted_exp_model, capsys, text):
+        path, _ = fitted_exp_model
+        code, out, err = run_cli(capsys, "forkrate", "--model", str(path), "--delta0", text)
+        assert (code, out) == (3, "")
+        assert "delta0 must be" in err
 
     def test_quadrature_method_skips_the_closed_form(self, fitted_exp_model, capsys):
         path, doc = fitted_exp_model
         code, out, _ = run_cli(
-            capsys, "forkrate", "--model", str(path), "--delta0", "2",
+            capsys, "forkrate", "--model", str(path), "--delta0", "2,0.5",
             "--method", "quadrature",
         )
         assert code == 0
-        fields = out.splitlines()[1].split(",")
-        want = fork_rate_iid(Exponential(doc["family"]["rate"]), doc["n"], 2.0,
-                             method="quadrature")
-        assert fields[3] == "quadrature"
-        assert float(fields[1]) == want.value
+        for line, d0 in zip(out.splitlines()[1:], (2.0, 0.5)):
+            fields = line.split(",")
+            want = fork_rate_iid(Exponential(doc["family"]["rate"]), doc["n"], d0,
+                                 method="quadrature")
+            assert fields[3] == "quadrature"
+            assert fields[1:3] == [repr(want.value), repr(want.error_estimate)]
 
     def test_blocks_input_conditional(self, dataset_dir, capsys):
         code, out, _ = run_cli(

@@ -1,6 +1,7 @@
 import math
 import sys
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -41,7 +42,6 @@ from forkcast.model import (
     SemiEmpiricalINID,
 )
 from forkcast.quadrature import (
-    ABS_TOL,
     REL_TOL,
     Exponential,
     LogNormal,
@@ -452,15 +452,26 @@ class TestForkRateCurve:
         for d0, res in zip(CURVE_GRID, curve):
             single = fork_rate(model, d0)
             assert (res.method, res.inputs_echo) == (single.method, single.inputs_echo)
-            # the curve refines every delay until all of them converge, so
-            # a small rate that a lone integral settles at the absolute
-            # floor comes out tighter: the two agree within their error
-            # estimates, and to 1e-12 wherever the relative tolerance rules
-            gap = abs(res.value - single.value)
-            assert gap <= res.error_estimate + single.error_estimate
-            if single.value * REL_TOL >= ABS_TOL:
-                assert res.value == pytest.approx(single.value, rel=1e-12, abs=0.0)
-        assert curve[-1].value * REL_TOL >= ABS_TOL
+            # every delay is held to the same relative bound and ranked by
+            # it, so the curve refines as each lone integral does
+            assert (res.value, res.error_estimate) == (single.value, single.error_estimate)
+
+    @pytest.mark.parametrize("n", [2, 35, 350])
+    @pytest.mark.parametrize("kind", ["exp", "lognormal", "tpl"])
+    def test_short_delays_curve_equals_lone_integrals(self, kind, n):
+        # 3 families x 3 miner counts x 6 spreads x 3 delays: 162 rates.
+        # While the rate is near linear in the delay, every column refines
+        # alike under its own relative bound, however small the rate
+        from forkcast.estimate import MomentPair, method_of_moments
+
+        delays = (1e-6, 1e-3, 1.0)
+        mean = 1.0 / 600.0 / n
+        for spread in (0.5, 1.0, 2.0, 3.0, 5.0, 8.0):
+            family = method_of_moments(MomentPair(mean, spread * mean), kind)
+            curve = fork_rate_curve(IIDNull(family, n), delays)
+            for d0, res in zip(delays, curve):
+                lone = fork_rate_iid(family, n, d0)
+                assert (res.value, res.error_estimate) == (lone.value, lone.error_estimate)
 
     @pytest.mark.parametrize("name", sorted(CURVE_MODELS))
     def test_zero_delay_in_grid_is_exactly_zero(self, name):
@@ -534,6 +545,106 @@ def _reference_family(kind):
 
     moments = fit_moments(BlockCounts(REFERENCE_COUNTS), REFERENCE_LAMBDA)
     return method_of_moments(moments, kind)
+
+
+def _gamma_form_reference(family, n, d0):
+    """30-digit i.i.d. fork rate of a Gamma-form family (shape k, rate b).
+
+    With y = b / (b + x) the reduced integral is
+    ``1 - n k int_0^1 y^(nk-1) (1 + y d0/b)^(-(n-1)k) dy``, a Gauss
+    hypergeometric function.
+    """
+    with mp.workdps(30):
+        k, nk = mp.mpf(family.shape), n * mp.mpf(family.shape)
+        return 1 - mp.hyp2f1(nk - k, nk, nk + 1, -mp.mpf(d0) / mp.mpf(family.beta))
+
+
+def _semi_reference(counts: BlockCounts, gamma: float, delays, iid: bool):
+    """30-digit fork rates of a block-count posterior model, one per delay.
+
+    With ``u = sqrt(1 + 2x / gamma) = 1 + w``, a posterior of b blocks has
+    ``L = e^(-b w) / u`` and ``W = (1 + b u) e^(-b w) / (gamma u^3)``, and
+    ``dx = gamma u dw``.  The integral is a trapezoid sum in t, where ``w =
+    exp(t - e^-t) / B`` (B blocks in all): the tail at small w decays
+    double-exponentially.  Step 0.15 agrees with a trapezoid sum in log w
+    at step 0.125 to 4e-19.
+    """
+    blocks, mult = np.unique(counts.counts, return_counts=True)
+    with mp.workdps(30):
+        bs = [mp.mpf(int(b)) for b in blocks]
+        ms = [int(m) for m in mult]
+        n, total = sum(ms), sum(m * b for m, b in zip(ms, bs))
+        steps = [2 * mp.mpf(d0) / gamma for d0 in delays]
+        sums = [mp.mpf(0)] * len(delays)
+        t, h = mp.mpf(-4.5), mp.mpf(0.15)
+        while t <= mp.log(8 * total if iid else 64):
+            w = mp.exp(t - mp.exp(-t)) / total
+            dw = w * (1 + mp.exp(-t))
+            u = 1 + w
+            weights = [m * (1 + b * u) for m, b in zip(ms, bs)]
+            if iid:  # n W(u) [L(u)^(n-1) - L(ud)^(n-1)] of the mixture
+                e = [mp.exp(-b * w) for b in bs]
+                nw, lu = mp.fdot(weights, e) / (u * u) * dw, mp.fdot(ms, e) / (n * u)
+            else:  # sum_i W_i prod_(j != i) L_j, times -expm1 of the other decrements
+                prod = mp.exp(-total * w) * u ** (-n - 1) * dw
+            for i, step in enumerate(steps):
+                ud = mp.sqrt(u * u + step)
+                if iid:
+                    ld = mp.fdot(ms, [mp.exp(b * (1 - ud)) for b in bs]) / (n * ud)
+                    sums[i] += nw * (lu ** (n - 1) - ld ** (n - 1))
+                else:
+                    du, lr = u - ud, (n - 1) * mp.log(ud / u)
+                    sums[i] -= prod * mp.fdot(weights, [mp.expm1((total - b) * du - lr) for b in bs])
+            t += h
+        return [x * h for x in sums]
+
+
+ORACLE_DELAYS = (1e-6, 1e-3, 1.0, 1e3)
+
+
+def _oracle_counts(n: int) -> BlockCounts:
+    from forkcast.estimate import add_zero_miners
+    from forkcast.synthetic import REFERENCE_COUNTS
+
+    base = BlockCounts(REFERENCE_COUNTS)
+    if n == 2:
+        return BlockCounts(sorted(REFERENCE_COUNTS)[-2:])
+    return base if n == 35 else add_zero_miners(base, n - 35)
+
+
+class TestErrorEstimateOracle:
+    """Every error estimate bounds the true error and meets the relative tolerance.
+
+    References are mpmath at 30 digits; a lone integral and the
+    four-delay curve are both checked.
+    """
+
+    @staticmethod
+    def check(results, refs):
+        for res, ref in zip(results, refs):
+            assert abs(mp.mpf(res.value) - ref) <= res.error_estimate <= REL_TOL * res.value
+
+    @pytest.mark.parametrize("n", [2, 35, 350])
+    @pytest.mark.parametrize("kind", ["exp", "tpl"])
+    def test_gamma_form(self, kind, n):
+        family = _reference_family(kind)
+        refs = [_gamma_form_reference(family, n, d0) for d0 in ORACLE_DELAYS]
+        for method in ("closed_form", "quadrature"):
+            self.check([fork_rate_iid(family, n, d0, method=method) for d0 in ORACLE_DELAYS], refs)
+        self.check(fork_rate_curve(IIDNull(family, n), ORACLE_DELAYS), refs)
+
+    @pytest.mark.parametrize("n", [2, 35, 350])
+    @pytest.mark.parametrize("kind", ["semi-iid", "semi-inid"])
+    def test_semi_empirical(self, kind, n):
+        from forkcast.synthetic import REFERENCE_LAMBDA
+
+        counts = _oracle_counts(n)
+        gamma = counts.total / REFERENCE_LAMBDA
+        iid = kind == "semi-iid"
+        model = (SemiEmpiricalIID if iid else SemiEmpiricalINID)(counts, gamma)
+        refs = _semi_reference(counts, gamma, ORACLE_DELAYS, iid)
+        self.check([fork_rate(model, d0) for d0 in ORACLE_DELAYS], refs)
+        self.check(fork_rate_curve(model, ORACLE_DELAYS), refs)
 
 
 class TestPopulationIntegral:

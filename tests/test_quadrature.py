@@ -11,7 +11,6 @@ from scipy.integrate import quad as scipy_quad
 from forkcast.errors import InvalidFamily, NonConvergent, NonFinite
 from forkcast import quadrature
 from forkcast.quadrature import (
-    ABS_TOL,
     MAX_SUBDIVISIONS,
     REL_TOL,
     Exponential,
@@ -54,7 +53,6 @@ def posterior_oracle(b, gamma, s, weighted=False):
 class TestConfig:
     def test_defaults(self):
         assert REL_TOL == 1e-9
-        assert ABS_TOL == 1e-12
         assert MAX_SUBDIVISIONS == 2000
 
 
@@ -88,6 +86,42 @@ class TestIntegrateSemiInfinite:
 
     def test_zero_integrand(self):
         assert integrate_semi_infinite(lambda x: np.zeros_like(x)) == 0.0
+
+    def test_small_component_costs_no_more_than_its_lone_integral(self, monkeypatch):
+        # segments are ranked by error over each component's own bound, so
+        # a large converged component is not refined down to the error of
+        # a 1e-8 one (ranked by absolute error, the pair takes 86 segments)
+        real_segment, count = quadrature._gk_segment, [0]
+
+        def segment(f, edges):
+            count[0] += len(edges) - 1
+            return real_segment(f, edges)
+
+        def segments(f):
+            count[0] = 0
+            quadrature._integrate_semi_infinite(f)
+            return count[0]
+
+        def big(x):
+            return np.exp(-x)
+
+        def small(x):
+            return 1e-8 * np.exp(-0.5 * ((x - 30.0) / 0.3) ** 2)
+
+        monkeypatch.setattr(quadrature, "_gk_segment", segment)
+        pair = segments(lambda x: np.column_stack([big(x), small(x)]))
+        assert pair <= segments(big) + segments(small)
+
+    def test_segment_too_narrow_to_split_is_frozen(self):
+        # in t, (1 + x)^-1.25 dx is (1 - t)^-0.75 dt: refinement reaches
+        # segments at t = 1 whose nodes round onto their edges; they are
+        # not split (no node at t = 1, so no division by zero), and their
+        # error stays in the estimate
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, error = quadrature._integrate_semi_infinite(lambda x: (1.0 + x) ** -1.25)
+        assert 3.99 < value < 4.0
+        assert error > REL_TOL * value
 
 
 class TestFamilies:
