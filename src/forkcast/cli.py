@@ -291,14 +291,13 @@ def cmd_implied(args) -> int:
 
 def cmd_band(args) -> int:
     counts = _counts_from_blocks(args.blocks)
-    low, high = (float(p) for p in args.percentiles.split(","))
     band = confidence_band(
         counts,
         args.lambda_total,
         args.family,
         args.delta0_grid,
         args.samples,
-        percentiles=(low, high),
+        percentiles=args.percentiles,
         seed=args.seed,
     )
     out = sys.stdout
@@ -427,6 +426,15 @@ def _delays(text: str) -> list[float]:
     if not delays:
         raise argparse.ArgumentTypeError(f"no delay in {text!r}")
     return delays
+
+
+def _percentiles(text: str) -> tuple[float, float]:
+    """The ``--percentiles`` pair, read before any ingest; ``confidence_band`` checks its range."""
+    try:
+        low, high = map(float, text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"need two numbers low,high, got {text!r}") from None
+    return low, high
 
 
 def _period_length(text: str) -> int:
@@ -558,7 +566,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta0-grid", type=_delays, required=True,
                    help="comma-separated delays, seconds")
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--percentiles", default="5,95")
+    p.add_argument("--percentiles", type=_percentiles, default="5,95")
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(func=cmd_band)
 

@@ -17,21 +17,20 @@ to a ``{date: rate}`` dict.  Integers must fit in int64.  Period
 statistics take a slice of the block array.
 
 Parsers are total: a malformed line raises a :class:`ParseError` carrying
-the file path and line number, never a partial result.  The body is read
-as bytes in chunks of whole lines.  A plain chunk (valid UTF-8 with no
-quote, CR, NUL or blank line, no field over the csv field size limit, and
-the header's field count on every line) is split at its commas and
-newlines, found in one numpy pass; that is how ``csv.reader`` splits such
-text.  Each column of a plain chunk is converted at once, by a route its
-converter picks: ``int`` fields by a digit kernel, ``float`` fields by an
-exact m / 10^k kernel, and any other converter, or a number outside its
-kernel's grammar, once per distinct field.  There is one hand-off: from
-the first byte of the first chunk that is not plain, whose converter
-rejects a value or that has a field too wide for a key (from byte 0 for
-an empty file or a header line with a quote or a CR), ``csv.reader``
-splits the rest of the file, and its rows are converted a column at a
-time.  No line numbers are kept: a file that is rejected is re-scanned
-to find the line of its first bad row.
+the file path and line number, never a partial result.  A file is read
+once, as bytes, in blocks of whole lines.  A plain block (valid UTF-8 with
+no quote, CR, NUL or blank line, no field over the csv field size limit,
+and the header's field count on every line) is split at its commas and
+newlines in one numpy pass, as ``csv.reader`` splits such text; its
+``int`` columns go through a digit kernel, ``float`` columns through an
+exact m / 10^k kernel, and any other column, or a number outside its
+kernel's grammar, through its converter once per distinct field.  From
+the first block that is not plain, or whose values a converter or dtype
+rejects, ``csv.reader`` reads the same blocks, each line decoded on its
+own.  So every read error is raised at the first bad row in file order,
+at a line found by a re-scan.  Checks across a whole column (a negative
+height, an empty miner id, percentile order, a hash rate > 0) run after
+the read.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ import math
 import operator
 from collections import Counter
 from pathlib import Path
-from typing import Callable, Mapping
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -77,7 +76,7 @@ _SECONDS_PER_DAY = 86_400
 # stays in cache (on a 2-vCPU x86_64 VM, 512 parsed 120,000 blocks about 15 %
 # faster than 4,096)
 _CHUNK_ROWS = 512
-# bytes of whole lines per plain chunk; memory stays bounded by the chunk,
+# bytes of whole lines per block; memory stays bounded by the block,
 # not the file (on a 2-vCPU x86_64 VM, 64 KiB chunks parsed 120,137 blocks
 # about 25 % slower than 256 KiB, and 1 MiB chunks within 5 % of them)
 _CHUNK_CHARS = 1 << 18
@@ -131,37 +130,67 @@ def _bits(text: str) -> int:
     return int(text, 16 if text[:2] in ("0x", "0X") else 10)
 
 
+def _date(text: str) -> dt.date:
+    """A ``YYYY-MM-DD`` date; ``fromisoformat`` alone takes other ISO forms since Python 3.11."""
+    date = dt.date.fromisoformat(text := text.strip())
+    if date.isoformat() != text:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date
+
+
+def _blocks(fh: BinaryIO) -> Iterator[bytes]:
+    """Blocks of about :data:`_CHUNK_CHARS` bytes of a file, each ending at a ``\\n`` or EOF.
+
+    A file whose lines end in a lone ``\\r`` is one block.
+    """
+    while block := fh.read(_CHUNK_CHARS):
+        if not block.endswith(b"\n"):
+            block += fh.readline()
+        yield block
+
+
+def _lines(blocks: Iterable[bytes]) -> Iterator[str]:
+    """Each line of ``blocks``, decoded alone; lines end where ``csv.reader`` ends them."""
+    return itertools.chain.from_iterable(map(bytes.decode, b.splitlines(True)) for b in blocks)
+
+
 def _line(path: str | Path, k: int) -> int:
     """Line on which the ``k``-th non-blank data row (from 0) ends, by a re-scan."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        reader = csv.reader(_lines(_blocks(fh)))
         next(reader)
         next(itertools.islice(filter(None, reader), k, None))
         return reader.line_num
 
 
-def _convert(path: str | Path, chunk: list, picks: list, lists: list, start: int):
-    """Extend each list by converting its column of ``chunk`` in one pass.
+def _convert(path: str | Path, chunk: list, picks: list, fields: list):
+    """Append to each field an array of its column of ``chunk``, in the field's dtype.
 
-    ``start`` is the number of rows before ``lists``.  A failure walks the
-    chunk row by row to report its first bad row.
+    Every column is converted before any is appended.  A failure walks the
+    chunk row by row, each row's columns in turn, and raises
+    :class:`ParseError` at its first bad value: a converter's
+    ``ValueError``, a row too short or an integer outside the dtype.
     """
-    start += len(lists[0])
     try:
-        for values, (i, convert, _) in zip(lists, picks):
-            values.extend(map(convert, map(operator.itemgetter(i), chunk)))
-    except (IndexError, ValueError):
-        need = max(i for i, _, _ in picks) + 1
-        for k, row in enumerate(chunk, start):
-            try:
-                for i, convert, _ in picks:
-                    convert(row[i])
-            except IndexError:
-                message = f"{len(row)} field(s), need {need}"
-                raise ParseError(str(path), _line(path, k), message) from None
-            except ValueError as exc:
-                raise ParseError(str(path), _line(path, k), f"bad row: {exc}") from exc
+        columns = [np.fromiter(map(convert, map(operator.itemgetter(i), chunk)), dtype, len(chunk))
+                   for i, convert, dtype in picks]
+    except (IndexError, ValueError, OverflowError):
+        for k, row in enumerate(chunk, sum(map(len, fields[0]))):
+            for i, convert, dtype in picks:
+                try:
+                    value = convert(row[i])
+                    np.array([value], dtype)
+                except IndexError:
+                    message = f"{len(row)} field(s), need {max(i for i, _, _ in picks) + 1}"
+                    raise ParseError(str(path), _line(path, k), message) from None
+                except ValueError as exc:
+                    raise ParseError(str(path), _line(path, k), f"bad row: {exc}") from exc
+                except OverflowError:
+                    message = f"{value} does not fit in {np.dtype(dtype)}"
+                    raise ParseError(str(path), _line(path, k), message) from None
         raise
+    for field, values in zip(fields, columns):
+        field.append(values)
 
 
 def _windows(buf: np.ndarray, ends: np.ndarray, lengths: np.ndarray, width: int,
@@ -218,11 +247,12 @@ def _numbers(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, point: bool)
 
 def _distinct(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray,
               convert: Callable[[str], object], dtype):
-    """The fields converted by ``convert``, each distinct field once; None if one is too wide.
+    """The fields converted by ``convert``, each distinct field once, or None.
 
     A field's key is its bytes, zero-padded on the left to whole 8-byte
-    words: equal keys are equal fields, as a plain chunk has no NUL.  Raises
-    the converter's ``ValueError``.
+    words: equal keys are equal fields, as a plain chunk has no NUL.  None
+    for a field too wide for a key, a converter's ``ValueError`` or a value
+    outside ``dtype``: :func:`_convert` finds its row.
     """
     lengths = ends - starts
     width = max(8, -(-int(lengths.max()) // 8) * 8)
@@ -238,13 +268,11 @@ def _distinct(data: bytes, buf: np.ndarray, starts: np.ndarray, ends: np.ndarray
             codes = inverse
     first = np.empty(codes.max() + 1, np.intp)
     first[codes] = np.arange(codes.size)
-    values = [convert(data[s:e].decode()) for s, e in zip(starts[first].tolist(), ends[first].tolist())]
+    bounds = zip(starts[first].tolist(), ends[first].tolist())
     try:
-        table = np.array(values, dtype)
-    except OverflowError:
-        # kept as Python ints: _read_csv reports the first that does not fit
-        table = np.array(values, object)
-    return table[codes]
+        return np.array([convert(data[s:e].decode()) for s, e in bounds], dtype)[codes]
+    except (ValueError, OverflowError):
+        return None
 
 
 def _extend_plain(chunk: bytes, width: int, picks: list, fields: list) -> int:
@@ -254,8 +282,7 @@ def _extend_plain(chunk: bytes, width: int, picks: list, fields: list) -> int:
     in one pass over the bytes, and each picked column is converted in one
     go: ``int`` and ``float`` columns by :func:`_numbers`, the others (and
     any number outside its grammar) by :func:`_distinct`.  A chunk that is
-    not plain, holds a value that a converter rejects or a field too wide
-    for a key appends nothing.
+    not plain, or that :func:`_distinct` cannot convert, appends nothing.
     """
     if not chunk.endswith(b"\n"):  # the last line of a file with no final newline
         chunk += b"\n"
@@ -269,7 +296,7 @@ def _extend_plain(chunk: bytes, width: int, picks: list, fields: list) -> int:
     buf = np.frombuffer(data, np.uint8)
     newline = buf == 10
     sep = np.flatnonzero(newline | (buf == 44))  # "," and "\n"
-    lines = np.count_nonzero(newline)
+    lines = int(np.count_nonzero(newline))  # a line number of a ParseError is an int
     # the header's field count on every line: a short row next to a long
     # one shows here, where a total count would hide it
     if sep.size != lines * width or not newline[sep[width - 1 :: width]].all():
@@ -288,12 +315,9 @@ def _extend_plain(chunk: bytes, width: int, picks: list, fields: list) -> int:
         if convert is int or convert is float:
             values = _numbers(buf, starts[:, i], ends[:, i], point=convert is float)
         if values is None:
-            try:
-                values = _distinct(data, buf, starts[:, i], ends[:, i], convert, dtype)
-            except ValueError:
-                return 0
-            if values is None:
-                return 0
+            values = _distinct(data, buf, starts[:, i], ends[:, i], convert, dtype)
+        if values is None:
+            return 0
         columns.append(values)
     for field, values in zip(fields, columns):
         field.append(values)
@@ -311,43 +335,36 @@ def _header(fname: str, header: list | None, columns: Mapping) -> list:
     return [(position[c], convert, dtype) for c, (convert, dtype) in columns.items()]
 
 
-def _read_fields(path: str | Path, columns: Mapping) -> list[list]:
-    """Per named column, the arrays and lists of its values.
+def _read_fields(path: str | Path, columns: Mapping) -> list[list[np.ndarray]]:
+    """Per named column, the arrays of its values, in file order.
 
-    Plain chunks hold about :data:`_CHUNK_CHARS` bytes of whole lines;
-    ``csv.reader`` rows are converted :data:`_CHUNK_ROWS` at a time.
+    The file is read once, as bytes, in blocks of whole lines
+    (:func:`_blocks`).  Plain blocks are parsed by :func:`_extend_plain`;
+    from the first block that is not, ``csv.reader`` reads the lines of the
+    same blocks (:func:`_lines`), and its rows are converted
+    :data:`_CHUNK_ROWS` at a time (:func:`_convert`).  Rows read before a
+    ``csv.Error`` or a byte that is not UTF-8 are converted first, so every
+    error is raised at the first bad row in file order.
     """
     fname = str(path)
-    with open(path, "r", encoding="utf-8", newline="") as text:
-        raw = text.buffer  # read as bytes until csv.reader takes over
-        at, offset, picks = 0, 0, None  # the reader's first byte and the lines before it
+    with open(path, "rb") as fh:
+        head, blocks, offset = fh.readline(), _blocks(fh), 0  # offset: lines before the reader
+        plain = head.endswith(b"\n") and not (b'"' in head or b"\r" in head)
         try:
-            head = raw.readline()
-            if head and not (b'"' in head or b"\r" in head):
-                reader = csv.reader([head.decode()])
-                header = next(reader)
-                picks = _header(fname, header, columns)
-                fields = [[] for _ in picks]
-                at, offset = len(head), 1
-                while chunk := raw.read(_CHUNK_CHARS):
-                    if not chunk.endswith(b"\n"):
-                        chunk += raw.readline()
-                    done = _extend_plain(chunk, len(header), picks, fields)
+            reader = csv.reader(_lines([head] if plain else itertools.chain([head], blocks)))
+            header = next(reader, None)
+            picks = _header(fname, header, columns)
+            fields = [[] for _ in picks]
+            if plain:
+                offset = 1
+                for block in blocks:
+                    done = _extend_plain(block, len(header), picks, fields)
                     if not done:
                         break
-                    at += len(chunk)
                     offset += done
                 else:
                     return fields
-            text.seek(at)
-            reader = csv.reader(text)
-            if picks is None:
-                picks = _header(fname, next(reader, None), columns)
-                fields = [[] for _ in picks]
-            start = sum(map(len, fields[0]))
-            for field in fields:
-                field.append([])
-            lists = [field[-1] for field in fields]
+                reader = csv.reader(_lines(itertools.chain([block], blocks)))
             rows = filter(None, reader)
             while True:
                 chunk = []
@@ -356,11 +373,14 @@ def _read_fields(path: str | Path, columns: Mapping) -> list[list]:
                 finally:
                     # rows read before a reader error precede it in the file:
                     # a bad value among them is the error to report
-                    _convert(path, chunk, picks, lists, start)
+                    _convert(path, chunk, picks, fields)
                 if len(chunk) < _CHUNK_ROWS:
                     break
         except csv.Error as exc:
             raise ParseError(fname, offset + reader.line_num, f"bad row: {exc}") from exc
+        except UnicodeDecodeError as exc:
+            line = offset + reader.line_num + 1
+            raise ParseError(fname, line, f"not UTF-8: {exc.reason}") from None
     return fields
 
 
@@ -371,39 +391,17 @@ def _read_csv(
 
     ``columns`` maps each required name to a field converter and a dtype;
     the values are the converters' own.  A converter's ``ValueError``, a
-    row too short for a named column, a ``csv.Error``, bytes that are not
-    UTF-8 and an integer outside the dtype raise :class:`ParseError` at
-    the row's line.
+    row too short for a named column, a ``csv.Error``, a byte that is not
+    UTF-8 and an integer outside the dtype raise :class:`ParseError` at the
+    first bad row in file order; :func:`_reject` checks whole columns after.
     """
-    fname = str(path)
-    try:
-        fields = _read_fields(path, columns)
-    except UnicodeDecodeError as exc:
-        # the decoder reads ahead in chunks: find the line in the raw bytes
-        data = Path(path).read_bytes()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as whole:
-            exc = whole
-        # line ends as csv.reader counts them: "\r\n", a lone "\r" and "\n"
-        cr, lf = data.count(b"\r", 0, exc.start), data.count(b"\n", 0, exc.start)
-        line = cr + lf - data.count(b"\r\n", 0, exc.start) + 1
-        raise ParseError(fname, line, f"not UTF-8: {exc.reason}") from None
+    fields = _read_fields(path, columns)
     # np.rec.fromarrays allocates with np.empty, many times slower than
     # np.zeros when a field holds objects
     records = np.zeros(sum(map(len, fields[0])), [(c, d) for c, (_, d) in columns.items()])
     for pieces, name in zip(fields, columns):
-        column, at = records[name], 0
-        try:
-            for values in pieces:
-                column[at : at + len(values)] = values
-                at += len(values)
-        except OverflowError:
-            info = np.iinfo(column.dtype)
-            values = list(itertools.chain.from_iterable(pieces))
-            k = next(k for k, v in enumerate(values) if not info.min <= v <= info.max)
-            message = f"{values[k]} does not fit in {info.dtype}"
-            raise ParseError(fname, _line(path, k), message) from None
+        if pieces:
+            np.concatenate(pieces, out=records[name])
     return records.view(np.recarray)
 
 
@@ -445,7 +443,7 @@ def parse_stale_csv(path: str | Path) -> np.ndarray:
 
 def parse_hashrate_csv(path: str | Path) -> dict[dt.date, float]:
     table = _read_csv(path, {
-        "date": (lambda text: dt.date.fromisoformat(text.strip()), object),
+        "date": (_date, object),
         "hashes_per_second": (float, np.float64),
     })
     rates = table.hashes_per_second

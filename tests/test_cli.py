@@ -393,6 +393,25 @@ class TestBandCommand:
             _, lo, pt, up = (float(x) for x in line.split(","))
             assert lo <= pt <= up
 
+    @pytest.mark.parametrize("text", ["5", "a,b", "5,50,95", ""])
+    def test_bad_percentiles_exit_2_before_any_ingest(self, capsys, monkeypatch, text):
+        def parse(path):
+            raise AssertionError("ingest ran")
+
+        monkeypatch.setattr(cli, "parse_blocks_csv", parse)
+        with pytest.raises(SystemExit) as exc:
+            main(["band", "--blocks", "b.csv", "--lambda", "0.0017", "--family", "exp",
+                  "--delta0-grid", "1", "--seed", "1", "--percentiles", text])
+        assert exc.value.code == 2
+        assert f"--percentiles: need two numbers low,high, got {text!r}" in capsys.readouterr().err
+
+    def test_percentiles_out_of_range_exit_3(self, dataset_dir, capsys):
+        code, out, err = run_cli(capsys, "band", "--blocks", str(dataset_dir / "blocks.csv"),
+                                 "--lambda", "0.0017", "--family", "exp", "--delta0-grid", "1",
+                                 "--seed", "1", "--percentiles", "95,5")
+        assert (code, out) == (3, "")
+        assert "percentiles must satisfy" in err
+
 
 @pytest.fixture(scope="module")
 def report(tmp_path_factory, dataset_dir):
