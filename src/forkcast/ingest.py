@@ -138,15 +138,27 @@ def _date(text: str) -> dt.date:
     return date
 
 
-def _blocks(fh: BinaryIO) -> Iterator[bytes]:
-    """Blocks of about :data:`_CHUNK_CHARS` bytes of a file, each ending at a ``\\n`` or EOF.
+def _blocks(fh: BinaryIO, head: bytes = b"") -> Iterator[bytes]:
+    """Blocks of about :data:`_CHUNK_CHARS` bytes of whole lines of a file, in order.
 
-    A file whose lines end in a lone ``\\r`` is one block.
+    ``head``, bytes already read, opens the first block.  Each read is cut
+    after its last ``\\n`` or, if it has none, after its last ``\\r`` but
+    its final byte, which may begin a ``\\r\\n``; the rest opens the next
+    block.  So lines that end in ``\\r`` alone come in blocks too, and no
+    line or ``\\r\\n`` is split.
     """
-    while block := fh.read(_CHUNK_CHARS):
-        if not block.endswith(b"\n"):
-            block += fh.readline()
-        yield block
+    rest = [head]
+    while chunk := fh.read(_CHUNK_CHARS):
+        cut = chunk.rfind(b"\n") + 1 or chunk.rfind(b"\r", 0, -1) + 1
+        if cut:
+            block = b"".join([*rest, memoryview(chunk)[:cut]])
+            rest = [chunk[cut:]]
+            del chunk  # only the block stays alive while it is used
+            yield block
+        else:
+            rest.append(chunk)
+    if last := b"".join(rest):
+        yield last
 
 
 def _lines(blocks: Iterable[bytes]) -> Iterator[str]:
@@ -348,10 +360,11 @@ def _read_fields(path: str | Path, columns: Mapping) -> list[list[np.ndarray]]:
     """
     fname = str(path)
     with open(path, "rb") as fh:
-        head, blocks, offset = fh.readline(), _blocks(fh), 0  # offset: lines before the reader
+        head = fh.readline(_CHUNK_CHARS)  # the header line, or a block if no "\n" comes sooner
         plain = head.endswith(b"\n") and not (b'"' in head or b"\r" in head)
+        blocks, offset = _blocks(fh, b"" if plain else head), 0  # offset: lines before the reader
         try:
-            reader = csv.reader(_lines([head] if plain else itertools.chain([head], blocks)))
+            reader = csv.reader(_lines([head] if plain else blocks))
             header = next(reader, None)
             picks = _header(fname, header, columns)
             fields = [[] for _ in picks]

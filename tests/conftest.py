@@ -34,3 +34,29 @@ def dataset_dir(tmp_path_factory):
     out = tmp_path_factory.mktemp("synth")
     write_dataset(out, periods=3)
     return out
+
+
+@pytest.fixture
+def integrand_calls(monkeypatch):
+    """Counts the integrals, integrand calls and integrand points of fork-rate quadrature.
+
+    Wraps ``forkrate._integrate_semi_infinite``, through which every
+    quadrature fork rate is integrated, and the integrand it is handed.
+    """
+    from forkcast import forkrate
+
+    real = forkrate._integrate_semi_infinite
+    counts = {"integrals": 0, "calls": 0, "points": 0}
+
+    def integrate(f, **kwargs):
+        counts["integrals"] += 1
+
+        def counted(x):
+            counts["calls"] += 1
+            counts["points"] += x.size
+            return f(x)
+
+        return real(counted, **kwargs)
+
+    monkeypatch.setattr(forkrate, "_integrate_semi_infinite", integrate)
+    return counts

@@ -4,7 +4,7 @@ import math
 import jsonschema
 import pytest
 
-from forkcast import cli, quadrature
+from forkcast import cli
 from forkcast.cli import main, model_from_json, model_to_json
 from forkcast.forkrate import (
     conditional_fork_rate,
@@ -164,8 +164,8 @@ class TestForkrateCommand:
             assert line.split(",")[1:3] == [repr(lone.value), repr(lone.error_estimate)]
 
     @pytest.mark.parametrize("kind", ["lognormal", "semi-iid"])
-    def test_delta_list_integrates_one_curve(self, tmp_path, dataset_dir, capsys, monkeypatch,
-                                             kind):
+    def test_delta_list_integrates_one_curve(self, tmp_path, dataset_dir, capsys,
+                                             integrand_calls, kind):
         code, out, _ = run_cli(
             capsys, "fit", "--blocks", str(dataset_dir / "blocks.csv"),
             "--lambda", "0.0017", "--family", kind,
@@ -173,22 +173,11 @@ class TestForkrateCommand:
         path = tmp_path / "model.json"
         path.write_text(out)
         delays = (0.5, 1.0, 2.0)
-        real_segment = quadrature._gk_segment
-        calls = {"integrand": 0}
-
-        def segment(f, edges):
-            def counted(x):
-                calls["integrand"] += 1
-                return f(x)
-
-            return real_segment(counted, edges)
-
-        monkeypatch.setattr(quadrature, "_gk_segment", segment)
         fork_rate_curve(model_from_json(json.loads(out)), delays)
-        one_curve, calls["integrand"] = calls["integrand"], 0
+        one_curve, integrand_calls["calls"] = integrand_calls["calls"], 0
         code, out, _ = run_cli(capsys, "forkrate", "--model", str(path), "--delta0", "0.5,1,2")
         assert code == 0 and len(out.splitlines()) == 4
-        assert calls["integrand"] == one_curve > 0
+        assert integrand_calls["calls"] == one_curve > 0
 
     @pytest.mark.parametrize("text, message", [("abc", "not a number: 'abc'"),
                                                ("0.5,1x,2", "not a number: '1x'"),

@@ -1,5 +1,7 @@
 import math
 import sys
+import tracemalloc
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -8,7 +10,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad as scipy_quad
 
-from forkcast import quadrature
 from forkcast.errors import (
     DegenerateHHI,
     DegenerateMinerSet,
@@ -452,19 +453,20 @@ class TestForkRateCurve:
         for d0, res in zip(CURVE_GRID, curve):
             single = fork_rate(model, d0)
             assert (res.method, res.inputs_echo) == (single.method, single.inputs_echo)
-            # every delay is held to the same relative bound and ranked by
-            # it, so the curve refines as each lone integral does
+            # every column sums its own terms only and stops at its own
+            # level, so the curve integrates each delay as its lone integral
             assert (res.value, res.error_estimate) == (single.value, single.error_estimate)
 
+    @pytest.mark.parametrize("delays", [(1e-6, 1e-3, 1.0), (1e-3, 1.0, 1e3)], ids=["1e-6..1", "1e-3..1e3"])
     @pytest.mark.parametrize("n", [2, 35, 350])
     @pytest.mark.parametrize("kind", ["exp", "lognormal", "tpl"])
-    def test_short_delays_curve_equals_lone_integrals(self, kind, n):
-        # 3 families x 3 miner counts x 6 spreads x 3 delays: 162 rates.
-        # While the rate is near linear in the delay, every column refines
-        # alike under its own relative bound, however small the rate
+    def test_short_delays_curve_equals_lone_integrals(self, kind, n, delays):
+        # 3 families x 3 miner counts x 6 spreads x 3 delays: 162 rates per
+        # grid.  Every column sums its own terms only and stops at its own
+        # level, however small the rate and however far from linear in the
+        # delay
         from forkcast.estimate import MomentPair, method_of_moments
 
-        delays = (1e-6, 1e-3, 1.0)
         mean = 1.0 / 600.0 / n
         for spread in (0.5, 1.0, 2.0, 3.0, 5.0, 8.0):
             family = method_of_moments(MomentPair(mean, spread * mean), kind)
@@ -481,13 +483,10 @@ class TestForkRateCurve:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 1e-310])
     @pytest.mark.parametrize("name", sorted(CURVE_MODELS))
-    def test_bad_delay_anywhere_rejected_before_integration(self, name, bad, monkeypatch):
-        def no_integration(*args):
-            pytest.fail("integration started before the delay grid was validated")
-
-        monkeypatch.setattr(quadrature, "_adaptive", no_integration)
+    def test_bad_delay_anywhere_rejected_before_integration(self, name, bad, integrand_calls):
         with pytest.raises(InvalidDelay):
             fork_rate_curve(CURVE_MODELS[name], (0.815, 2.0, bad))
+        assert integrand_calls["integrals"] == 0
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError, match="empty"):
@@ -500,32 +499,22 @@ class TestForkRateCurve:
     @pytest.mark.parametrize("name", sorted(CURVE_MODELS))
     @pytest.mark.parametrize("d0", [0.01, 3.0])
     def test_repeated_delay_equals_the_lone_delay(self, name, d0):
-        # twin columns refine like the lone one, and each GK segment sums
-        # every column node by node in one order, whatever the column count
+        # twin columns stop at the lone one's level, and every column is
+        # summed node by node in one order, whatever the column count
         lone = fork_rate_curve(CURVE_MODELS[name], [d0])[0]
         for res in fork_rate_curve(CURVE_MODELS[name], [d0, d0]):
             assert (res.value, res.error_estimate) == (lone.value, lone.error_estimate)
 
     @pytest.mark.parametrize("members", ["iid", "equal-inid"])
     @pytest.mark.parametrize("m", [1, 3, 7])
-    def test_lognormal_one_log_rows_call_per_outer_evaluation(self, m, members, monkeypatch):
-        real_adaptive, real_rows = quadrature._adaptive, LogNormal.log_rows
-        calls = {"integrals": 0, "outer_integrand": 0, "log_rows": 0}
-
-        def counting_adaptive(f, edges):
-            calls["integrals"] += 1
-
-            def outer(t):
-                calls["outer_integrand"] += 1
-                return f(t)
-
-            return real_adaptive(outer, edges)
+    def test_lognormal_one_log_rows_call_per_outer_evaluation(self, m, members, integrand_calls,
+                                                               monkeypatch):
+        real_rows, rows_calls = LogNormal.log_rows, [0]
 
         def counting_rows(self, s, delays):
-            calls["log_rows"] += 1
+            rows_calls[0] += 1
             return real_rows(self, s, delays)
 
-        monkeypatch.setattr(quadrature, "_adaptive", counting_adaptive)
         monkeypatch.setattr(LogNormal, "log_rows", counting_rows)
         grid = np.geomspace(1e-3, 30.0, m)
         family = LogNormal(-10.7, 1.27)
@@ -534,9 +523,9 @@ class TestForkRateCurve:
         curve = fork_rate_curve(model, grid)
         assert len(curve) == m
         # one integral per curve, and every delay from one fused evaluation
-        assert calls["integrals"] == 1
-        assert calls["outer_integrand"] > 0
-        assert calls["log_rows"] == calls["outer_integrand"]
+        assert integrand_calls["integrals"] == 1
+        assert integrand_calls["calls"] > 0
+        assert rows_calls[0] == integrand_calls["calls"]
 
 
 def _reference_family(kind):
@@ -647,6 +636,54 @@ class TestErrorEstimateOracle:
         self.check(fork_rate_curve(model, ORACLE_DELAYS), refs)
 
 
+class TestFarTail:
+    """The nodes reach x = e^700: mass far beyond the integration scale counts."""
+
+    def test_mass_beyond_2_to_53_times_the_scale(self):
+        # 5.7 % of this rate lies beyond x = 2^53 * scale, where a map
+        # x = scale t / (1 - t) places no node (it gave 5.99e-88).  The
+        # reference is a double-precision trapezoid sum over log x in
+        # [-80, 705] at step 0.0125 of the fork integrand, whose L, W and
+        # drop are trapezoid sums over z = (log lam - mu) / sigma in [-16,
+        # sigma + 16] at step 0.005; steps 0.025 and 0.01 move it by 6e-12
+        res = fork_rate_iid(LogNormal(-400.0, 28.0), 35, 1.0)
+        assert abs(res.value - 6.31685293641e-88) <= res.error_estimate <= REL_TOL * res.value
+
+    def test_far_nodes_keep_memory_bounded(self):
+        # a deep level hands the integrand hundreds of points at once; the
+        # log-normal grid is summed in slabs of them, so this curve peaks
+        # near 8 MB, where one grid for a whole level takes 150 MB
+        model = IIDNull(LogNormal(-400.0, 28.0), 35)
+        tracemalloc.start()
+        try:
+            fork_rate_curve(model, ORACLE_DELAYS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 26.6e6
+
+    @staticmethod
+    def models():
+        from forkcast.synthetic import REFERENCE_LAMBDA
+
+        for kind in ("exp", "tpl", "lognormal"):
+            for n in (2, 35, 350):
+                yield f"{kind}-{n}", IIDNull(_reference_family(kind), n)
+        for n in (35, 350):  # 0 and 315 zero-count miners
+            counts = _oracle_counts(n)
+            gamma = counts.total / REFERENCE_LAMBDA
+            yield f"semi-iid-{n}", SemiEmpiricalIID(counts, gamma)
+            yield f"semi-inid-{n}", SemiEmpiricalINID(counts, gamma)
+        yield "lognormal(-400, 28)-35", IIDNull(LogNormal(-400.0, 28.0), 35)
+
+    def test_no_floating_point_warning_at_the_far_nodes(self):
+        for name, model in self.models():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                curve = fork_rate_curve(model, ORACLE_DELAYS)
+            assert all(res.value > 0.0 for res in curve), name
+
+
 class TestPopulationIntegral:
     """I.i.d. quadrature is one population row of multiplicity n."""
 
@@ -695,30 +732,21 @@ class TestPopulationIntegral:
             )
 
     @pytest.mark.parametrize("m", [1, 3, 7])
-    def test_mixture_components_evaluated_once_per_integrand_call(self, m, monkeypatch):
-        calls = {"integrand": 0, "components": 0}
-        real_segment = quadrature._gk_segment
-        real_log_rows = PosteriorTransform.log_rows
-
-        def segment(f, edges):
-            def counted(x):
-                calls["integrand"] += 1
-                return f(x)
-
-            return real_segment(counted, edges)
+    def test_mixture_components_evaluated_once_per_integrand_call(self, m, integrand_calls,
+                                                                  monkeypatch):
+        real_log_rows, components = PosteriorTransform.log_rows, [0]
 
         def log_rows(self, s, delays):
-            calls["components"] += 1
+            components[0] += 1
             return real_log_rows(self, s, delays)
 
-        monkeypatch.setattr(quadrature, "_gk_segment", segment)
         monkeypatch.setattr(PosteriorTransform, "log_rows", log_rows)
         counts = BlockCounts([600, 250, 100, 50, 50, 0, 0, 1])
         grid = np.geomspace(1e-3, 30.0, m)
         curve = fork_rate_curve(SemiEmpiricalIID(counts, 1.2e7), grid)
         assert len(curve) == m
-        assert calls["integrand"] > 0
-        assert calls["components"] == calls["integrand"]
+        assert integrand_calls["calls"] > 0
+        assert components[0] == integrand_calls["calls"]
 
 
 class TestDispatcher:
@@ -868,7 +896,8 @@ class TestProperties:
     def test_curve_lies_in_unit_interval_and_never_decreases(self, family, n, delays):
         curve = fork_rate_curve(IIDNull(family, n), sorted(delays))
         assert all(0.0 <= r.value <= 1.0 for r in curve)
-        # the BLAS product in a GK segment may round equal delays an ulp apart
+        # each rate is exact to its own error estimate, so close delays may
+        # come out of order by as much
         assert all(a.value <= b.value + a.error_estimate + b.error_estimate
                    for a, b in zip(curve, curve[1:]))
 

@@ -858,6 +858,66 @@ def _bits_of(floats):
     return np.asarray(floats, np.float64).view(np.int64).tolist()
 
 
+class TestLoneCarriageReturns:
+    """Files whose lines end in a lone ``\\r`` are read in blocks, as ``\\r\\n`` files are."""
+
+    ROWS = 8 * FILLER_PER_CHUNK  # 2 MiB: every read ends in a "\r", carried to the next block
+
+    @staticmethod
+    def write(tmp_path, end, rows):
+        p = tmp_path / f"blocks-{len(end)}.csv"
+        p.write_bytes(end.join([BLOCK_FIELDS.encode(), *rows, b""]))
+        return p
+
+    @staticmethod
+    def peak(path):
+        parse_blocks_csv(path)  # warm: first-call imports and caches are not the file's
+        tracemalloc.start()
+        try:
+            rows = parse_blocks_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        return _rows(rows), peak
+
+    def test_peak_within_that_of_the_crlf_copy(self, tmp_path):
+        rows = [_filler(i).rstrip("\n").encode() for i in range(self.ROWS)]
+        cr_rows, cr_peak = self.peak(self.write(tmp_path, b"\r", rows))
+        crlf_rows, crlf_peak = self.peak(self.write(tmp_path, b"\r\n", rows))
+        assert cr_rows == crlf_rows and len(cr_rows) == self.ROWS
+        # read as one block, the CR-only file peaked at 1.65x its CRLF copy
+        assert cr_peak <= crlf_peak
+
+    @pytest.mark.parametrize("bad, message", [(b"x", "invalid literal"), (b"\xff", "not UTF-8")])
+    def test_crlf_across_two_reads_is_one_line_end(self, tmp_path, bad, message):
+        # the first read of the data ends between the "\r" and the "\n"
+        # of row k: cut there, the "\n" would count as one more line
+        rows = [_filler(i).rstrip("\n").encode() for i in range(2 * FILLER_PER_CHUNK)]
+        k = _CHUNK_CHARS // 33 - 1  # rows of 33 bytes before row k
+        rows[k] = rows[k].ljust(_CHUNK_CHARS - 33 * k - 1, b"m")
+        rows[k + 10] = bad + rows[k + 10][1:]
+        p = self.write(tmp_path, b"\r\n", rows)
+        data = p.read_bytes()[len(BLOCK_FIELDS) + 2:]
+        assert data[_CHUNK_CHARS - 1 : _CHUNK_CHARS + 1] == b"\r\n"
+        assert data[:_CHUNK_CHARS].count(b"\n") == k
+        with pytest.raises(ParseError, match=message) as err:
+            parse_blocks_csv(p)
+        assert err.value.line == k + 12
+
+    @pytest.mark.parametrize("k", [0, FILLER_PER_CHUNK - 1, FILLER_PER_CHUNK, 5 * FILLER_PER_CHUNK + 7])
+    @pytest.mark.parametrize("bad, message", [(b"x", "invalid literal"),
+                                              (b"\xff", "not UTF-8"),
+                                              (b"9" * 20, "does not fit in int64"),
+                                              (b"7" * 200_000, "field larger than field limit")])
+    def test_error_lines(self, tmp_path, k, bad, message):
+        rows = [_filler(i).rstrip("\n").encode() for i in range(self.ROWS)]
+        rows[k] = bad + rows[k][6:]  # in place of the height
+        for end in (b"\r", b"\r\n", b"\n"):
+            with pytest.raises(ParseError, match=message) as err:
+                parse_blocks_csv(self.write(tmp_path, end, rows))
+            assert err.value.line == k + 2
+
+
 class TestColumnKernels:
     """Each conversion route gives exactly the converter's values, errors and lines."""
 

@@ -11,7 +11,7 @@ from scipy.integrate import quad as scipy_quad
 from forkcast.errors import InvalidFamily, NonConvergent, NonFinite
 from forkcast import quadrature
 from forkcast.quadrature import (
-    MAX_SUBDIVISIONS,
+    MAX_LEVEL,
     REL_TOL,
     Exponential,
     LogNormal,
@@ -53,7 +53,7 @@ def posterior_oracle(b, gamma, s, weighted=False):
 class TestConfig:
     def test_defaults(self):
         assert REL_TOL == 1e-9
-        assert MAX_SUBDIVISIONS == 2000
+        assert MAX_LEVEL == 10
 
 
 class TestIntegrateSemiInfinite:
@@ -76,52 +76,88 @@ class TestIntegrateSemiInfinite:
             assert v == pytest.approx(1.0, rel=1e-9)
 
     def test_non_finite_integrand(self):
-        with pytest.raises(NonFinite):
+        with pytest.raises(NonFinite, match="non-finite at x = ") as err:
             integrate_semi_infinite(lambda x: np.where(x > 1.0, np.nan, 1.0) * np.exp(-x))
+        assert float(str(err.value).rsplit("= ", 1)[1]) > 1.0  # names a node where f failed
 
-    def test_subdivision_limit(self, monkeypatch):
-        monkeypatch.setattr(quadrature, "MAX_SUBDIVISIONS", 3)
+    def test_level_limit(self, monkeypatch):
+        monkeypatch.setattr(quadrature, "MAX_LEVEL", 3)
         with pytest.raises(NonConvergent):
             integrate_semi_infinite(lambda x: np.sin(x) ** 2 * np.exp(-0.001 * x))
 
     def test_zero_integrand(self):
         assert integrate_semi_infinite(lambda x: np.zeros_like(x)) == 0.0
 
-    def test_small_component_costs_no_more_than_its_lone_integral(self, monkeypatch):
-        # segments are ranked by error over each component's own bound, so
-        # a large converged component is not refined down to the error of
-        # a 1e-8 one (ranked by absolute error, the pair takes 86 segments)
-        real_segment, count = quadrature._gk_segment, [0]
+    @pytest.mark.parametrize("centre, sigma", [(30.0, 0.3), (30.0, 3.0), (100.0, 1.0)])
+    @pytest.mark.parametrize("tail", ["exp", "power"])
+    def test_small_component_costs_no_more_than_its_lone_integral(self, tail, centre, sigma):
+        # each column sums its own range only, so beside a large integrand
+        # a 1e-8 bump integrates as it does alone, bit for bit, and the
+        # pair evaluates no point that neither lone integral would.  The
+        # power tail grows level 0 to x = e^700, where the bump's range
+        # does not go.  Every level-0 term of the bump at x = 100 is an
+        # exact zero (the nodes nearest it are x = 28.3 and 298): it is
+        # refined over the starting span, and not counted as 0
+        count = [0]
 
-        def segment(f, edges):
-            count[0] += len(edges) - 1
-            return real_segment(f, edges)
+        def counted(f):
+            def g(x):
+                count[0] += x.size
+                return f(x)
 
-        def segments(f):
+            return g
+
+        def integral(f):
             count[0] = 0
-            quadrature._integrate_semi_infinite(f)
-            return count[0]
+            return quadrature._integrate_semi_infinite(counted(f)), count[0]
 
         def big(x):
-            return np.exp(-x)
+            return np.exp(-x) if tail == "exp" else (1.0 + x) ** -1.5
 
         def small(x):
-            return 1e-8 * np.exp(-0.5 * ((x - 30.0) / 0.3) ** 2)
+            return 1e-8 * np.exp(-0.5 * ((x - centre) / sigma) ** 2)
 
-        monkeypatch.setattr(quadrature, "_gk_segment", segment)
-        pair = segments(lambda x: np.column_stack([big(x), small(x)]))
-        assert pair <= segments(big) + segments(small)
+        (pair, pair_err), pair_points = integral(lambda x: np.column_stack([big(x), small(x)]))
+        lone = [integral(f) for f in (big, small)]
+        for column, ((value, error), _) in enumerate(lone):
+            assert (pair[column], pair_err[column]) == (value, error)
+        assert pair_points <= lone[0][1] + lone[1][1]
+        assert pair[1] == pytest.approx(1e-8 * sigma * math.sqrt(2.0 * math.pi), rel=1e-9)
 
-    def test_segment_too_narrow_to_split_is_frozen(self):
-        # in t, (1 + x)^-1.25 dx is (1 - t)^-0.75 dt: refinement reaches
-        # segments at t = 1 whose nodes round onto their edges; they are
-        # not split (no node at t = 1, so no division by zero), and their
-        # error stays in the estimate
+    def test_refinement_stays_near_the_terms_that_count(self):
+        # past level 0 (the half-integers in u, where x = exp((pi/2) sinh
+        # u)), a midpoint is evaluated only within one level-0 step of a
+        # term above 1e-18 of the largest, not over the whole first level
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x * np.exp(-x)
+
+        quadrature._integrate_semi_infinite(f)
+        x = np.concatenate(seen)
+        u = np.arcsinh(np.log(x) / (0.5 * math.pi))
+        level0 = np.abs(2.0 * u - np.round(2.0 * u)) < 1e-9
+        terms = x * np.exp(-x) * x * np.cosh(u)
+        big = u[level0][terms[level0] > 1e-18 * terms.max()]
+        assert u[~level0].size > 0 and u[level0].min() < big.min() - 0.5
+        assert all(np.abs(big - v).min() < 0.5 for v in u[~level0])
+
+    def test_heavy_tail_reaches_the_tolerance(self):
+        # in x = t / (1 - t), (1 + x)^-1.25 dx is (1 - t)^-0.75 dt: the mass
+        # near t = 1 lies beyond any node a bisection in t can place.  The
+        # double-exponential nodes reach x = e^700, with no floating-point
+        # warning on the way
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             value, error = quadrature._integrate_semi_infinite(lambda x: (1.0 + x) ** -1.25)
-        assert 3.99 < value < 4.0
-        assert error > REL_TOL * value
+        assert abs(value - 4.0) <= error <= REL_TOL * 4.0
+
+    def test_mass_beyond_2_to_53_times_scale_is_integrated(self):
+        # (1 + x)^-1.5 has 2 / sqrt(1 + x) of its mass beyond x, 1e-8 of it
+        # beyond 4e16; a map x = scale t / (1 - t) gave 1.99999998949
+        value, error = quadrature._integrate_semi_infinite(lambda x: (1.0 + x) ** -1.5)
+        assert abs(value - 2.0) <= error <= REL_TOL * 2.0
 
 
 class TestFamilies:
