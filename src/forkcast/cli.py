@@ -2,6 +2,9 @@
 
 Subcommands: fit, forkrate, simulate, implied, band, pipeline.  JSON is
 the machine interface, CSV the plot-data interface; nothing is rendered.
+Every JSON output is standard JSON, with no ``NaN`` or ``Infinity``:
+``simulate`` writes ``"z_score": null`` where z is undefined, when the
+simulated stderr is 0 and the simulated and analytic rates differ.
 
 Exit codes: 0 success, 2 input/parse problems, 3 numeric/fitting
 failures, 4 internal errors.  Every command is deterministic given its
@@ -16,15 +19,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import __version__
 from .errors import ForkcastError, ParseError
 from .estimate import (
-    FAMILY_KINDS,
     add_zero_miners,
     confidence_band,
     estimate_hash_rates,
@@ -70,7 +71,14 @@ EXIT_INTERNAL = 4
 REPORT_SCHEMA_VERSION = 1
 MODEL_SCHEMA_VERSION = 1
 
-FIT_FAMILIES = FAMILY_KINDS + ("semi-iid", "semi-inid")
+# every family and model by its JSON kind, in the order the flags list them
+_FAMILIES = {"exp": Exponential, "lognormal": LogNormal, "tpl": TruncatedPowerLaw}
+_POSTERIORS = {"semi-iid": SemiEmpiricalIID, "semi-inid": SemiEmpiricalINID}
+_MODELS = {"fixed": Fixed, "iid-null": IIDNull, **_POSTERIORS}
+
+FIT_FAMILIES = (*_FAMILIES, *_POSTERIORS)
+# the pipeline also takes "semi", the name under which it reports semi-iid
+_PIPELINE_FAMILIES = (*_FAMILIES, "semi", *_POSTERIORS)
 
 
 # ---------------------------------------------------------------------------
@@ -78,53 +86,60 @@ FIT_FAMILIES = FAMILY_KINDS + ("semi-iid", "semi-inid")
 # ---------------------------------------------------------------------------
 
 
+def _kind(obj, table: dict, unknown: str) -> str:
+    for kind, cls in table.items():
+        if isinstance(obj, cls):
+            return kind
+    raise TypeError(f"{unknown} {obj!r}")
+
+
+def _class(doc: dict, table: dict, what: str) -> type:
+    kind = doc.get("kind")  # a kind that is not a string, even a list, is unknown
+    if not isinstance(kind, str) or kind not in table:
+        raise ValueError(f"unknown {what} kind {kind!r}")
+    return table[kind]
+
+
 def family_to_json(family) -> dict:
-    if isinstance(family, Exponential):
-        return {"kind": "exp", "rate": family.rate}
-    if isinstance(family, LogNormal):
-        return {"kind": "lognormal", "mu": family.mu, "sigma": family.sigma}
-    if isinstance(family, TruncatedPowerLaw):
-        return {"kind": "tpl", "alpha": family.alpha, "beta": family.beta}
-    raise TypeError(f"unknown family {family!r}")
+    return {"kind": _kind(family, _FAMILIES, "unknown family"), **asdict(family)}
 
 
 def family_from_json(doc: dict):
-    kind = doc.get("kind")
-    if kind == "exp":
-        return Exponential(float(doc["rate"]))
-    if kind == "lognormal":
-        return LogNormal(float(doc["mu"]), float(doc["sigma"]))
-    if kind == "tpl":
-        return TruncatedPowerLaw(float(doc["alpha"]), float(doc["beta"]))
-    raise ValueError(f"unknown family kind {kind!r}")
+    cls = _class(doc, _FAMILIES, "family")
+    return cls(*(float(doc[f.name]) for f in fields(cls)))
+
+
+def _same(value):
+    return value
+
+
+# each model field: its JSON key, how it is written, and how it is read back
+# (``n`` as it stands, so that IIDNull itself rejects a non-integer)
+_MODEL_FIELDS = {
+    "miners": ("lambdas", lambda miners: list(miners.lambdas),
+               lambda lambdas: MinerSet([float(x) for x in lambdas])),
+    "family": ("family", family_to_json, family_from_json),
+    "n": ("n", _same, _same),
+    "counts": ("counts", lambda counts: list(counts.counts), BlockCounts),
+    "gamma": ("gamma", _same, float),
+}
 
 
 def model_to_json(model: HashRateModel) -> dict:
-    doc: dict = {"schema_version": MODEL_SCHEMA_VERSION}
-    if isinstance(model, Fixed):
-        doc.update(kind="fixed", lambdas=list(model.miners.lambdas))
-    elif isinstance(model, IIDNull):
-        doc.update(kind="iid-null", family=family_to_json(model.family), n=model.n)
-    elif isinstance(model, SemiEmpiricalIID):
-        doc.update(kind="semi-iid", counts=list(model.counts.counts), gamma=model.gamma)
-    elif isinstance(model, SemiEmpiricalINID):
-        doc.update(kind="semi-inid", counts=list(model.counts.counts), gamma=model.gamma)
-    else:
-        raise TypeError(f"unsupported model {model!r}")
+    doc: dict = {
+        "schema_version": MODEL_SCHEMA_VERSION,
+        "kind": _kind(model, _MODELS, "unsupported model"),
+    }
+    for f in fields(model):
+        key, write, _ = _MODEL_FIELDS[f.name]
+        doc[key] = write(getattr(model, f.name))
     return doc
 
 
 def model_from_json(doc: dict) -> HashRateModel:
-    kind = doc.get("kind")
-    if kind == "fixed":
-        return Fixed(MinerSet([float(x) for x in doc["lambdas"]]))
-    if kind == "iid-null":
-        return IIDNull(family_from_json(doc["family"]), doc["n"])
-    if kind == "semi-iid":
-        return SemiEmpiricalIID(BlockCounts(doc["counts"]), float(doc["gamma"]))
-    if kind == "semi-inid":
-        return SemiEmpiricalINID(BlockCounts(doc["counts"]), float(doc["gamma"]))
-    raise ValueError(f"unknown model kind {kind!r}")
+    cls = _class(doc, _MODELS, "model")
+    codecs = (_MODEL_FIELDS[f.name] for f in fields(cls))
+    return cls(*(read(doc[key]) for key, _, read in codecs))
 
 
 def _load_model(path: str) -> HashRateModel:
@@ -144,17 +159,26 @@ def _load_model(path: str) -> HashRateModel:
         raise ParseError(path, 0, f"malformed model: {exc}") from None
 
 
-def _counts_from_blocks(path: str) -> BlockCounts:
-    _, counts = count_blocks_by_miner(parse_blocks_csv(path))
-    return counts
+def _fitted_model(kind: str, counts: BlockCounts, lambda_total: float, moments) -> HashRateModel:
+    """Model ``kind`` for one set of counts: a null family fitted to ``moments``, or a posterior."""
+    if kind in _FAMILIES:
+        return IIDNull(method_of_moments(moments, kind), counts.n)
+    return _POSTERIORS[kind](counts, counts.total / lambda_total)
 
 
-def _print_json(doc: dict, out=None):
-    (out or sys.stdout).write(json.dumps(doc, indent=2) + "\n")
+def _json(doc: dict) -> str:
+    """Standard JSON: indented, with a trailing newline; NaN or infinity is a ValueError."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
-def _num(x: float) -> str:
-    return repr(float(x))
+def _csv(*values) -> str:
+    """One CSV line: floats by ``repr``, booleans as ``true``/``false``, the rest by ``str``."""
+    return ",".join(
+        repr(float(v)) if isinstance(v, float)
+        else ("true" if v else "false") if isinstance(v, bool)
+        else str(v)
+        for v in values
+    ) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +187,18 @@ def _num(x: float) -> str:
 
 
 def cmd_fit(args) -> int:
-    counts = _counts_from_blocks(args.blocks)
+    _, counts = count_blocks_by_miner(parse_blocks_csv(args.blocks))
     if args.zero_miners:
         counts = add_zero_miners(counts, args.zero_miners)
     lam = args.lambda_total
     mp = fit_moments(counts, lam)
+    model = _fitted_model(args.family, counts, lam, mp)
     notes: list[str] = []
+    mismatch = abs(mp.s - mp.m) / mp.m
+    if args.family == "exp" and mismatch > 1e-9:
+        notes.append(f"exp fit uses the mean only; |s - m|/m = {mismatch:.6g}")
+    if args.family == "tpl" and mp.s <= mp.m:
+        notes.append("s <= m gives a non-positive tpl shape exponent alpha")
     doc: dict = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "n": counts.n,
@@ -178,26 +208,9 @@ def cmd_fit(args) -> int:
         "lambda_total": lam,
         "gamma": counts.total / lam,
         "notes": notes,
+        **model_to_json(model),
     }
-    if args.family in ("semi-iid", "semi-inid"):
-        model = (
-            SemiEmpiricalIID(counts, counts.total / lam)
-            if args.family == "semi-iid"
-            else SemiEmpiricalINID(counts, counts.total / lam)
-        )
-        doc.update(model_to_json(model))
-    else:
-        family = method_of_moments(mp, args.family)
-        if args.family == "exp":
-            mismatch = abs(mp.s - mp.m) / mp.m
-            if mismatch > 1e-9:
-                notes.append(
-                    f"exp fit uses the mean only; |s - m|/m = {mismatch:.6g}"
-                )
-        if args.family == "tpl" and mp.s <= mp.m:
-            notes.append("s <= m gives a non-positive tpl shape exponent alpha")
-        doc.update(model_to_json(IIDNull(family, counts.n)))
-    _print_json(doc)
+    sys.stdout.write(_json(doc))
     return EXIT_OK
 
 
@@ -206,7 +219,7 @@ def _resolve_forkrate_model(args) -> HashRateModel:
         return _load_model(args.model)
     if not args.blocks or args.lambda_total is None:
         raise ParseError("<args>", 0, "need --model or (--blocks and --lambda)")
-    counts = _counts_from_blocks(args.blocks)
+    _, counts = count_blocks_by_miner(parse_blocks_csv(args.blocks))
     return Fixed(estimate_hash_rates(counts, args.lambda_total))
 
 
@@ -225,12 +238,9 @@ def cmd_forkrate(args) -> int:
         curve = _iid_curve(model, args.delta0, "quadrature")
     else:
         curve = fork_rate_curve(model, args.delta0)
-    out = sys.stdout
-    out.write("delta0,fork_rate,error_estimate,method\n")
+    sys.stdout.write("delta0,fork_rate,error_estimate,method\n")
     for d0, res in zip(args.delta0, curve):
-        out.write(
-            f"{_num(d0)},{_num(res.value)},{_num(res.error_estimate)},{res.method}\n"
-        )
+        sys.stdout.write(_csv(d0, res.value, res.error_estimate, res.method))
     return EXIT_OK
 
 
@@ -258,39 +268,26 @@ def cmd_simulate(args) -> int:
         doc["analytic_method"] = analytic.method
         if outcome.stderr > 0:
             doc["z_score"] = (outcome.fork_rate - analytic.value) / outcome.stderr
-        else:
-            doc["z_score"] = 0.0 if outcome.fork_rate == analytic.value else math.inf
-    _print_json(doc)
+        else:  # no spread: z is 0 on the analytic value and undefined off it
+            doc["z_score"] = 0.0 if outcome.fork_rate == analytic.value else None
+    sys.stdout.write(_json(doc))
     return EXIT_OK
 
 
 def cmd_implied(args) -> int:
     if args.quantity == "delta":
-        res = implied_delta0(args.forkrate, args.lambda_total, args.hhi)
-        doc = {
-            "quantity": "delta0",
-            "value": res.value,
-            "valid": res.valid,
-            "fork_rate": args.forkrate,
-            "lambda_total": args.lambda_total,
-            "hhi": args.hhi,
-        }
+        quantity, invert, given = "delta0", implied_delta0, {"hhi": args.hhi}
     else:
-        res = implied_hhi(args.forkrate, args.lambda_total, args.delta0)
-        doc = {
-            "quantity": "hhi",
-            "value": res.value,
-            "valid": res.valid,
-            "fork_rate": args.forkrate,
-            "lambda_total": args.lambda_total,
-            "delta0": args.delta0,
-        }
-    _print_json(doc)
+        quantity, invert, given = "hhi", implied_hhi, {"delta0": args.delta0}
+    res = invert(args.forkrate, args.lambda_total, *given.values())
+    doc = {"quantity": quantity, "value": res.value, "valid": res.valid,
+           "fork_rate": args.forkrate, "lambda_total": args.lambda_total, **given}
+    sys.stdout.write(_json(doc))
     return EXIT_OK
 
 
 def cmd_band(args) -> int:
-    counts = _counts_from_blocks(args.blocks)
+    _, counts = count_blocks_by_miner(parse_blocks_csv(args.blocks))
     band = confidence_band(
         counts,
         args.lambda_total,
@@ -300,10 +297,9 @@ def cmd_band(args) -> int:
         percentiles=args.percentiles,
         seed=args.seed,
     )
-    out = sys.stdout
-    out.write("delta0,lower,point,upper\n")
-    for d0, lo, pt, up in zip(band.delta0_grid, band.lower, band.point, band.upper):
-        out.write(f"{_num(d0)},{_num(lo)},{_num(pt)},{_num(up)}\n")
+    sys.stdout.write("delta0,lower,point,upper\n")
+    for row in zip(band.delta0_grid, band.lower, band.point, band.upper):
+        sys.stdout.write(_csv(*row))
     return EXIT_OK
 
 
@@ -324,21 +320,13 @@ def _period_entry(record, families: list[str]) -> dict:
     counts = record.counts
     lam = record.lambda_total
     mp = fit_moments(counts, lam)
-    gamma = counts.total / lam
     delays = {"p50": record.prop_p50, "p90": record.prop_p90, "p99": record.prop_p99}
 
     model_rates: dict[str, dict[str, float]] = {}
-    for fam_kind in families:
-        if fam_kind in ("semi", "semi-iid"):
-            model: HashRateModel = SemiEmpiricalIID(counts, gamma)
-            label = "semi"
-        elif fam_kind == "semi-inid":
-            model = SemiEmpiricalINID(counts, gamma)
-            label = "semi-inid"
-        else:
-            model = IIDNull(method_of_moments(mp, fam_kind), counts.n)
-            label = fam_kind
-        curve = fork_rate_curve(model, list(delays.values()))
+    for name in families:
+        kind = "semi-iid" if name == "semi" else name
+        curve = fork_rate_curve(_fitted_model(kind, counts, lam, mp), list(delays.values()))
+        label = "semi" if kind == "semi-iid" else kind
         model_rates[label] = {pct: res.value for pct, res in zip(delays, curve)}
 
     hhi_value = hhi_from_counts(counts)
@@ -364,38 +352,26 @@ def _period_entry(record, families: list[str]) -> dict:
     }
 
 
-def _report_csv_rows(doc: dict):
-    yield (
+def _report_csv(doc: dict) -> str:
+    """The report's CSV twin: one line per period, model and delay percentile."""
+    lines = [
         "period,n_miners,lambda_total,block_time,hhi,fork_rate_empirical,"
         "family,delay_percentile,delta0,model_fork_rate,"
-        "implied_delta0,implied_delta0_valid,implied_hhi,implied_hhi_valid"
-    )
+        "implied_delta0,implied_delta0_valid,implied_hhi,implied_hhi_valid\n"
+    ]
     for entry in doc["periods"]:
         if "error" in entry:
             continue
+        period = [entry[key] for key in ("index", "n_miners", "lambda_total", "block_time",
+                                         "hhi", "fork_rate_empirical")]
+        implied = [entry[key][field] for key in ("implied_delta0", "implied_hhi")
+                   for field in ("value", "valid")]
         for family, per_pct in entry["model_fork_rates"].items():
             for pct, value in per_pct.items():
-                yield ",".join(
-                    [
-                        str(entry["index"]),
-                        str(entry["n_miners"]),
-                        _num(entry["lambda_total"]),
-                        _num(entry["block_time"]),
-                        _num(entry["hhi"]),
-                        _num(entry["fork_rate_empirical"]),
-                        family,
-                        pct,
-                        _num(entry["propagation"][pct]),
-                        _num(value),
-                        _num(entry["implied_delta0"]["value"]),
-                        str(entry["implied_delta0"]["valid"]).lower(),
-                        _num(entry["implied_hhi"]["value"]),
-                        str(entry["implied_hhi"]["valid"]).lower(),
-                    ]
+                lines.append(
+                    _csv(*period, family, pct, entry["propagation"][pct], value, *implied)
                 )
-
-
-_PIPELINE_FAMILIES = FAMILY_KINDS + ("semi", "semi-iid", "semi-inid")
+    return "".join(lines)
 
 
 def _families(text: str) -> list[str]:
@@ -472,13 +448,9 @@ def cmd_pipeline(args) -> int:
         "schema_version": REPORT_SCHEMA_VERSION,
         "tool": {"name": "forkcast", "version": __version__},
         "inputs": {
-            name: {"path": str(path), "sha256": _sha256(path)}
-            for name, path in [
-                ("blocks", args.blocks),
-                ("stale", args.stale),
-                ("propagation", args.propagation),
-                ("hashrate", args.hashrate),
-            ]
+            name: {"path": path, "sha256": _sha256(path)}
+            for name in ("blocks", "stale", "propagation", "hashrate")
+            for path in [getattr(args, name)]
         },
         "period_length": args.period_length,
         "remainder_blocks": len(remainder),
@@ -486,15 +458,12 @@ def cmd_pipeline(args) -> int:
         "periods": entries,
     }
 
+    report = _json(doc)
     out_path = Path(args.out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
-    with out_path.open("w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    out_path.write_text(report, encoding="utf-8")
     csv_path = out_path.with_suffix(".csv")
-    with csv_path.open("w", encoding="utf-8") as fh:
-        for line in _report_csv_rows(doc):
-            fh.write(line + "\n")
+    csv_path.write_text(_report_csv(doc), encoding="utf-8")
 
     succeeded = sum(1 for e in entries if "error" not in e)
     sys.stderr.write(
@@ -562,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("band", help="confidence band on the fork-rate curve")
     p.add_argument("--blocks", required=True)
     p.add_argument("--lambda", dest="lambda_total", type=float, required=True)
-    p.add_argument("--family", choices=FAMILY_KINDS, required=True)
+    p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     p.add_argument("--delta0-grid", type=_delays, required=True,
                    help="comma-separated delays, seconds")
     p.add_argument("--samples", type=int, default=200)

@@ -58,10 +58,6 @@ class InvalidMoments(ForkcastError, ValueError):
     """Moment pair cannot be mapped to the requested family."""
 
 
-class AllZero(ForkcastError, ValueError):
-    """Every per-miner block count is zero; rates cannot be estimated."""
-
-
 class InvalidBits(ForkcastError, ValueError):
     """Compact target encoding decodes to a non-positive or out-of-range target."""
 

@@ -18,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .errors import (
-    AllZero,
     DegenerateMinerSet,
     InvalidFamily,
     InvalidModel,
@@ -107,8 +106,6 @@ def estimate_hash_rates(counts: BlockCounts, lambda_total: float) -> MinerSet:
     Zero-miner scenarios belong to the semi-empirical posterior models.
     """
     check_rate(lambda_total)
-    if counts.total < 1:
-        raise AllZero("every block count is zero")
     dropped = sum(1 for c in counts.counts if c == 0)
     if dropped:
         warnings.warn(

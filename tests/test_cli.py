@@ -12,8 +12,16 @@ from forkcast.forkrate import (
     fork_rate_iid,
     taylor_fork_rate,
 )
-from forkcast.model import Fixed, IIDNull, MinerSet, SemiEmpiricalIID, BlockCounts
-from forkcast.quadrature import Exponential, TruncatedPowerLaw
+from forkcast.ingest import parse_blocks_csv, segment_periods
+from forkcast.model import (
+    BlockCounts,
+    Fixed,
+    IIDNull,
+    MinerSet,
+    SemiEmpiricalIID,
+    SemiEmpiricalINID,
+)
+from forkcast.quadrature import Exponential, LogNormal, TruncatedPowerLaw
 
 from conftest import SUITE_SEED
 
@@ -44,10 +52,22 @@ class TestModelJson:
             Fixed(MinerSet([0.001, 0.0007])),
             IIDNull(Exponential(2e4), 10),
             IIDNull(TruncatedPowerLaw(0.75, 5000.0), 5),
+            IIDNull(LogNormal(-10.7, 1.27), 35),
             SemiEmpiricalIID(BlockCounts([5, 7]), 1e6),
+            SemiEmpiricalINID(BlockCounts([0, 3]), 1e6),
         ]
         for model in models:
             assert model_from_json(model_to_json(model)) == model
+
+    def test_wire_keys_in_order(self):
+        head = ["schema_version", "kind"]
+        assert list(model_to_json(Fixed(MinerSet([1e-3])))) == head + ["lambdas"]
+        doc = model_to_json(IIDNull(LogNormal(-10.7, 1.27), 35))
+        assert list(doc) == head + ["family", "n"]
+        assert doc["family"] == {"kind": "lognormal", "mu": -10.7, "sigma": 1.27}
+        doc = model_to_json(SemiEmpiricalINID(BlockCounts([0, 3]), 1e6))
+        assert doc == {"schema_version": 1, "kind": "semi-inid", "counts": [0, 3], "gamma": 1e6}
+        assert list(doc) == head + ["counts", "gamma"]
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
@@ -327,6 +347,24 @@ class TestSimulateCommand:
         assert abs(doc["z_score"]) <= 3.0
         assert doc["stderr"] > 0
 
+    def test_no_fork_gives_null_z_score_in_standard_json(self, tmp_path, capsys):
+        # no round forks, so stderr is 0 while the analytic rate is above 0:
+        # z is undefined, and standard JSON has no Infinity to stand for it
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(
+            {"kind": "iid-null", "n": 2, "family": {"kind": "exp", "rate": 20000}}
+        ))
+        code, out, _ = run_cli(capsys, "simulate", "--model", str(path), "--delta0", "1e-6",
+                               "--rounds", "100", "--seed", "1")
+
+        def reject(token):
+            raise ValueError(f"{token} is not JSON")
+
+        doc = json.loads(out, parse_constant=reject)
+        assert code == 0
+        assert doc["stderr"] == 0.0 and doc["analytic_fork_rate"] > 0.0
+        assert doc["z_score"] is None
+
 
 class TestImpliedCommand:
     def test_delta_anchor(self, capsys):
@@ -359,6 +397,13 @@ class TestImpliedCommand:
             "--lambda", "0.0017", "--delta0", "2.0",
         )
         assert json.loads(out)["value"] == 1.0
+
+    def test_overflowing_delay_exits_3_instead_of_writing_infinity(self, capsys):
+        # 0.5 / (2.3e-308 * 0.01) overflows; standard JSON cannot carry the inf
+        code, out, err = run_cli(capsys, "implied", "delta", "--forkrate", "0.5",
+                                 "--lambda", "2.3e-308", "--hhi", "0.99")
+        assert (code, out) == (3, "")
+        assert "Out of range float values are not JSON compliant" in err
 
     def test_missing_mode_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -415,6 +460,14 @@ def report(tmp_path_factory, dataset_dir):
     ])
     assert code == 0
     return out, json.loads(out.read_text())
+
+
+def run_pipeline(capsys, dataset_dir, out, *flags, **paths):
+    """``forkcast pipeline`` on the dataset, with any of its four files replaced."""
+    argv = ["pipeline", "--out", str(out), *flags]
+    for name in ("blocks", "stale", "propagation", "hashrate"):
+        argv += [f"--{name}", str(paths.get(name, dataset_dir / f"{name}.csv"))]
+    return run_cli(capsys, *argv)
 
 
 class TestPipelineCommand:
@@ -504,6 +557,60 @@ class TestPipelineCommand:
         for entry in doc["periods"]:
             assert entry["fork_rate_empirical"] == 0.0
             assert entry["model_fork_rates"]["exp"]["p50"] > 0
+
+
+    def test_failing_period_is_reported_and_skipped_in_csv(self, tmp_path, dataset_dir,
+                                                            capsys):
+        periods, _ = segment_periods(parse_blocks_csv(str(dataset_dir / "blocks.csv")))
+        t_lo, t_hi = int(periods[1]["timestamp"].min()), int(periods[1]["timestamp"].max())
+        header, *rows = (dataset_dir / "propagation.csv").read_text().splitlines(keepends=True)
+        kept = [row for row in rows if not t_lo <= int(row.split(",")[0]) <= t_hi]
+        assert len(kept) < len(rows)
+        propagation = tmp_path / "propagation.csv"
+        propagation.write_text(header + "".join(kept))
+        out = tmp_path / "report.json"
+        code, _, err = run_pipeline(capsys, dataset_dir, out, propagation=propagation)
+        assert code == 0
+        assert err.endswith(": 2/3 periods ok\n")
+        doc = json.loads(out.read_text())
+        assert doc["periods"][1] == {
+            "index": 1,
+            "error": f"no propagation rows inside the period span [{t_lo}, {t_hi}]",
+        }
+        assert [e["index"] for e in doc["periods"]] == [0, 1, 2]
+        jsonschema.validate(doc, json.loads(open(SCHEMA_PATH).read()))
+        lines = out.with_suffix(".csv").read_text().splitlines()
+        assert len(lines) == 1 + 2 * 4 * 3  # header, 2 periods x 4 families x 3 percentiles
+        assert {line.split(",")[0] for line in lines[1:]} == {"0", "2"}
+
+    def test_every_period_failing_exits_3_with_the_report_written(self, tmp_path, dataset_dir,
+                                                                  capsys):
+        propagation = tmp_path / "propagation.csv"
+        propagation.write_text("timestamp,p50,p90,p99\n")
+        out = tmp_path / "report.json"
+        code, _, err = run_pipeline(capsys, dataset_dir, out, propagation=propagation)
+        assert code == 3
+        assert err.endswith(": 0/3 periods ok\n")
+        doc = json.loads(out.read_text())
+        assert [sorted(e) for e in doc["periods"]] == [["error", "index"]] * 3
+        assert out.with_suffix(".csv").read_text().count("\n") == 1
+
+    def test_no_complete_period_exits_3(self, tmp_path, dataset_dir, capsys):
+        out = tmp_path / "report.json"
+        code, _, err = run_pipeline(capsys, dataset_dir, out, "--period-length", "100000")
+        assert code == 3
+        assert "no complete period of 100000 blocks" in err
+        assert not out.exists()
+
+    def test_shorter_periods(self, tmp_path, dataset_dir, capsys):
+        out = tmp_path / "report.json"
+        code, _, err = run_pipeline(capsys, dataset_dir, out, "--period-length", "10000",
+                                    "--families", "exp")
+        assert code == 0 and err.endswith(": 6/6 periods ok\n")
+        doc = json.loads(out.read_text())
+        assert doc["period_length"] == 10000
+        assert [e["index"] for e in doc["periods"]] == list(range(6))
+        assert doc["remainder_blocks"] == 0
 
 
 class TestParserBasics:
