@@ -33,7 +33,6 @@ from .estimate import (
     method_of_moments,
 )
 from .forkrate import (
-    _iid_curve,
     fork_rate,
     fork_rate_curve,
     hhi_from_counts,
@@ -233,9 +232,6 @@ def cmd_forkrate(args) -> int:
     if args.method == "taylor":
         total, hhi_value = model.miners.total, hhi_from_counts(model.miners)
         curve = [taylor_fork_rate(total, hhi_value, d0) for d0 in args.delta0]
-    elif args.method == "quadrature" and isinstance(model, IIDNull):
-        # the generic path, not the closed form that auto prefers
-        curve = _iid_curve(model, args.delta0, "quadrature")
     else:
         curve = fork_rate_curve(model, args.delta0)
     sys.stdout.write("delta0,fork_rate,error_estimate,method\n")
@@ -413,15 +409,18 @@ def _percentiles(text: str) -> tuple[float, float]:
     return low, high
 
 
-def _period_length(text: str) -> int:
-    """The ``--period-length``: an integer >= 1, a usage error found before any ingest."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
+def _integer(minimum: int):
+    """An argparse type: an integer >= ``minimum``, else a usage error found before any ingest."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return parse
 
 
 def cmd_pipeline(args) -> int:
@@ -494,7 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lambda_total", type=float, required=True,
                    help="total hash rate, blocks/s")
     p.add_argument("--family", choices=FIT_FAMILIES, required=True)
-    p.add_argument("--zero-miners", type=int, default=0, metavar="K",
+    p.add_argument("--zero-miners", type=_integer(0), default=0, metavar="K",
                    help="append K miners with zero mined blocks before fitting")
     p.set_defaults(func=cmd_fit)
 
@@ -506,15 +505,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta0", type=_delays, required=True,
                    help="comma-separated propagation delays, seconds")
     p.add_argument("--method", choices=("auto", "quadrature", "taylor", "conditional"),
-                   default="auto")
+                   default="auto", help="auto is conditional for fixed rates, else quadrature")
     p.set_defaults(func=cmd_forkrate)
 
     p = sub.add_parser("simulate", help="Monte Carlo fork-rate experiment")
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--delta0", type=float, required=True)
-    p.add_argument("--rounds", type=int, required=True)
+    p.add_argument("--rounds", type=_integer(1), required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--threads", type=int, default=0,
+    p.add_argument("--threads", type=_integer(0), default=0,
                    help="worker threads; 0 (default) picks automatically")
     p.add_argument("--fixed-rates", action="store_true",
                    help="sample one rate vector per experiment instead of per round")
@@ -546,7 +545,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hashrate", required=True)
     p.add_argument("--out", required=True, help="report JSON path (CSV twin beside it)")
     p.add_argument("--families", type=_families, default="exp,lognormal,tpl,semi")
-    p.add_argument("--period-length", type=_period_length, default=PERIOD_LENGTH)
+    p.add_argument("--period-length", type=_integer(1), default=PERIOD_LENGTH)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -29,8 +29,8 @@ class InvalidFamily(ForkcastError, ValueError):
 class InvalidModel(ForkcastError, ValueError):
     """A hash-rate model, or a computation asked of it, is unusable.
 
-    For example a sampled rate is non-positive, a fork-rate method is
-    unknown, or a simulation or confidence band has too few rounds or draws.
+    For example a sampled rate is non-positive, or a simulation or
+    confidence band has too few rounds or draws.
     """
 
 

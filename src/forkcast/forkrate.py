@@ -23,11 +23,10 @@ whole delay grid as one vector-valued integral, evaluating ``W`` and ``L``
 once per point, and returns one result with its own error estimate per
 delay.  The single-delay entry points are curves of one delay.
 
-Every quadrature fork rate is one population integral over the rows of
-transforms and multiplicities that :func:`.model.population` gives (n
-i.i.d. or n equal independent miners are one row of multiplicity n).
-The Gamma-form families keep the reduced closed-form integrand, which
-``method='auto'`` prefers.
+Every distributional fork rate is one population integral over the rows
+of transforms and multiplicities that :func:`.model.population` gives (n
+i.i.d. or n equal independent miners are one row of multiplicity n, the
+exponential and truncated-power-law families included).
 """
 
 from __future__ import annotations
@@ -42,7 +41,6 @@ from .errors import (
     DegenerateHHI,
     DegenerateMinerSet,
     InvalidDelay,
-    InvalidFamily,
     InvalidModel,
     NonConvergent,
     ShareSumViolation,
@@ -61,13 +59,7 @@ from .model import (
     check_rate,
     population,
 )
-from .quadrature import (
-    REL_TOL,
-    Exponential,
-    NullFamily,
-    TruncatedPowerLaw,
-    _integrate_semi_infinite,
-)
+from .quadrature import REL_TOL, NullFamily, _integrate_semi_infinite
 
 __all__ = [
     "ImpliedResult",
@@ -242,14 +234,35 @@ def _excluding_row_sums(rows: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return np.where(keeps_inf, -np.inf, out)
 
 
+def _others(row: np.ndarray, n) -> np.ndarray:
+    """``n * row - row``: :func:`_excluding_row_sums` of a lone row of n >= 2 members."""
+    neg = np.isneginf(row)
+    if not neg.any():
+        return n * row - row
+    with np.errstate(invalid="ignore"):  # -inf - -inf, replaced by -inf
+        return np.where(neg, row, n * row - row)
+
+
 def _population_integral(transforms, mult, delays: np.ndarray):
     """C(d) = integral sum_i W_i(x) prod_{j!=i} L_j(x) (-expm1(sum_{j!=i} dec_j)) dx.
 
     ``transforms`` and ``mult`` are a population (:func:`.model.population`):
     row g stands for ``mult[g]`` miners.  All delays are integrated at once.
+    A population of one 1-D row of n miners skips the stacking: its sums
+    over the others are :func:`_others` of its own row.
     """
     means = np.concatenate([np.atleast_1d(t.mean()) for t in transforms])
     scale = 1.0 / math.fsum((mult * means).tolist())
+
+    if len(transforms) == 1 and np.ndim(transforms[0].mean()) == 0:
+        (t,), (n,) = transforms, mult
+
+        def integrand(x: np.ndarray) -> np.ndarray:
+            log_w, log_l, dec = _log_rows(t, x, delays)
+            return (n * np.exp(log_w + _others(log_l, n)))[:, None] * -np.expm1(_others(dec, n))
+
+        return _integrate_semi_infinite(integrand, scale=scale)
+
     mult = np.asarray(mult, dtype=float)[:, None]
 
     def integrand(x: np.ndarray) -> np.ndarray:
@@ -265,63 +278,24 @@ def _population_integral(transforms, mult, delays: np.ndarray):
     return _integrate_semi_infinite(integrand, scale=scale)
 
 
-def _closed_form_integral(family, n: int, delays: np.ndarray):
-    """Reduced integrand for exponential / truncated-power-law families.
-
-    For a Gamma-form family with shape k and rate b the no-fork integrand
-    collapses to ``n k b^(nk) / ((b+x)^(1+k) (d+b+x)^((n-1)k))``; the fork
-    rate is its difference against the ``d = 0`` normalization, folded into
-    one ``expm1`` factor.  All delays are integrated at once, on the scale
-    ``1 / (n * mean) = b / (n * k)`` of the population integral.
-    """
-    k, b = family.shape, family.beta
-    log_pref = math.log(n) + math.log(k) + n * k * math.log(b)
-
-    def integrand(x: np.ndarray) -> np.ndarray:
-        log_bx = np.log(b + x)
-        base = np.exp(log_pref - (1.0 + k) * log_bx - (n - 1) * k * log_bx)
-        bracket = -np.expm1(-(n - 1) * k * np.log1p(delays / (b + x)[:, None]))
-        return base[:, None] * bracket
-
-    return _integrate_semi_infinite(integrand, scale=b / (n * k))
-
-
-def _iid_curve(model: IIDNull, delays, method: str):
-    family, n = model.family, model.n
-    delays, grid = _delay_grid(delays)
-    has_closed_form = isinstance(family, (Exponential, TruncatedPowerLaw))
-    if method == "auto":
-        method = "closed_form" if has_closed_form else "quadrature"
-    if method == "closed_form":
-        if not has_closed_form:
-            raise InvalidFamily(f"no closed form for {type(family).__name__}")
-        raw, err = _closed_form_integral(family, n, grid)
-    elif method == "quadrature":
-        raw, err = _population_integral([family], [n], grid)
-    else:
-        raise InvalidModel(f"unknown method {method!r}")
-    return _curve(raw, err, method, f"iid {family!r}, n={n}", delays)
-
-
 def fork_rate_curve(model: HashRateModel, delays: Sequence[float]) -> list[ForkRateResult]:
     """Fork rates of one model over a delay grid, one result per delay.
 
     Every delay is validated before any integration.  Fixed rates use the
-    conditional closed form, i.i.d. models :func:`fork_rate_iid`; every
-    other model is one population integral over the whole grid, which
-    evaluates ``W`` and ``L`` once per point and keeps one error estimate
-    per delay.
+    conditional closed form; every other model is one population integral
+    over the whole grid, which evaluates ``W`` and ``L`` once per point and
+    keeps one error estimate per delay.
     """
     if isinstance(model, Fixed):
         delays, _ = _delay_grid(delays)
         return [conditional_fork_rate(model.miners, d) for d in delays]
-    if isinstance(model, IIDNull):
-        return _iid_curve(model, delays, "auto")
     transforms, mult = population(model)
     n = int(np.sum(mult))
     _require_competition(n)
     delays, grid = _delay_grid(delays)
     raw, err = _population_integral(transforms, mult, grid)
+    if isinstance(model, IIDNull):
+        return _curve(raw, err, "quadrature", f"iid {model.family!r}, n={n}", delays)
     if isinstance(model, INIDNull):
         return _curve(raw, err, "quadrature", f"inid, n={n}", delays)
     detail = "iid mixture" if isinstance(model, SemiEmpiricalIID) else "inid per-miner"
@@ -329,16 +303,9 @@ def fork_rate_curve(model: HashRateModel, delays: Sequence[float]) -> list[ForkR
     return _curve(raw, err, "semi_empirical", echo, delays)
 
 
-def fork_rate_iid(
-    family: NullFamily, n: int, delta0: float, *, method: str = "auto"
-) -> ForkRateResult:
-    """Unconditional fork rate for n miners with i.i.d. rates.
-
-    ``method='auto'`` uses the reduced closed-form integrand where one
-    exists (exponential, truncated power law) and generic transform
-    quadrature otherwise; ``method='quadrature'`` forces the generic path.
-    """
-    return _iid_curve(IIDNull(family, n), (delta0,), method)[0]
+def fork_rate_iid(family: NullFamily, n: int, delta0: float) -> ForkRateResult:
+    """Unconditional fork rate for n miners with i.i.d. rates from ``family``."""
+    return fork_rate_curve(IIDNull(family, n), (delta0,))[0]
 
 
 def fork_rate_inid(members: Sequence, delta0: float) -> ForkRateResult:
@@ -378,15 +345,16 @@ def _check_fork_rate(value: float) -> None:
 def implied_delta0(
     fork_rate_value: float, lambda_total: float, hhi_value: float
 ) -> ImpliedResult:
-    """Propagation delay that reproduces a fork rate at first order."""
+    """Propagation delay that reproduces a fork rate at first order; always finite and valid."""
     _check_fork_rate(fork_rate_value)
     check_rate(lambda_total)
     if hhi_value >= 1.0:
         raise DegenerateHHI("a single-miner market implies no forks at any delay")
     if not (0.0 < hhi_value):
         raise InvalidModel(f"hhi must lie in (0, 1), got {hhi_value}")
-    value = fork_rate_value / (lambda_total * (1.0 - hhi_value))
-    return ImpliedResult(value=value, valid=0.0 <= value < math.inf)
+    rate = check_positive(lambda_total * (1.0 - hhi_value), "lambda_total * (1 - hhi)",
+                          InvalidModel)
+    return ImpliedResult(value=fork_rate_value / rate, valid=True)
 
 
 def implied_hhi(

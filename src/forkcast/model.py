@@ -245,8 +245,8 @@ class PeriodRecord:
 class ForkRateResult:
     """A computed fork probability with provenance.
 
-    ``method`` is one of ``conditional``, ``taylor``, ``closed_form``,
-    ``quadrature``, ``semi_empirical``, ``monte_carlo``.
+    ``method`` is one of ``conditional``, ``taylor``, ``quadrature``,
+    ``semi_empirical``, ``monte_carlo``.
     """
 
     value: float

@@ -1,3 +1,4 @@
+import mpmath as mp
 import pytest
 from hypothesis import settings
 
@@ -12,6 +13,18 @@ SUITE_SEED = 20240214
 # past failures, so its properties are as deterministic as the seeded checks
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+def gamma_form_reference(family, n, d0):
+    """30-digit i.i.d. fork rate of a Gamma-form family (shape k, rate b).
+
+    With y = b / (b + x) the reduced integral is
+    ``1 - n k int_0^1 y^(nk-1) (1 + y d0/b)^(-(n-1)k) dy``, a Gauss
+    hypergeometric function.
+    """
+    with mp.workdps(30):
+        k, nk = mp.mpf(family.shape), n * mp.mpf(family.shape)
+        return 1 - mp.hyp2f1(nk - k, nk, nk + 1, -mp.mpf(d0) / mp.mpf(family.beta))
 
 
 @pytest.fixture(scope="session")

@@ -125,9 +125,6 @@ DERIVED = [
 
 # other checks at the public boundary: (text in the message, call)
 CHECKS = [
-    ("no closed form for LogNormal",
-     lambda: fork_rate_iid(LogNormal(0.0, 1.0), 5, 1.0, method="closed_form")),
-    ("unknown method 'simpson'", lambda: fork_rate_iid(Exponential(2e4), 5, 1.0, method="simpson")),
     ("unknown family kind 'weibull'", lambda: method_of_moments(MomentPair(1.0, 1.0), "weibull")),
     ("rounds must be an int", lambda: SimConfig(MODEL, 1.0, 10.0, 0)),
     ("seed must be an int", lambda: SimConfig(MODEL, 1.0, 10, True)),

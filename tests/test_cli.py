@@ -229,17 +229,19 @@ class TestForkrateCommand:
         assert (code, out) == (3, "")
         assert "delta0 must be" in err
 
-    def test_quadrature_method_skips_the_closed_form(self, fitted_exp_model, capsys):
+    def test_quadrature_method_is_auto(self, fitted_exp_model, capsys):
         path, doc = fitted_exp_model
-        code, out, _ = run_cli(
-            capsys, "forkrate", "--model", str(path), "--delta0", "2,0.5",
-            "--method", "quadrature",
-        )
+        outs = [
+            run_cli(capsys, "forkrate", "--model", str(path), "--delta0", "2,0.5",
+                    "--method", method)
+            for method in ("auto", "quadrature")
+        ]
+        assert outs[0] == outs[1]
+        code, out, _ = outs[0]
         assert code == 0
         for line, d0 in zip(out.splitlines()[1:], (2.0, 0.5)):
             fields = line.split(",")
-            want = fork_rate_iid(Exponential(doc["family"]["rate"]), doc["n"], d0,
-                                 method="quadrature")
+            want = fork_rate_iid(Exponential(doc["family"]["rate"]), doc["n"], d0)
             assert fields[3] == "quadrature"
             assert fields[1:3] == [repr(want.value), repr(want.error_estimate)]
 
@@ -403,7 +405,7 @@ class TestImpliedCommand:
         code, out, err = run_cli(capsys, "implied", "delta", "--forkrate", "0.5",
                                  "--lambda", "2.3e-308", "--hhi", "0.99")
         assert (code, out) == (3, "")
-        assert "Out of range float values are not JSON compliant" in err
+        assert "lambda_total * (1 - hhi) must be a positive normal float" in err
 
     def test_missing_mode_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -614,6 +616,31 @@ class TestPipelineCommand:
 
 
 class TestParserBasics:
+    @pytest.mark.parametrize("command, flag, value, message", [
+        ("fit", "--zero-miners", "-1", "must be >= 0, got -1"),
+        ("simulate", "--rounds", "0", "must be >= 1, got 0"),
+        ("simulate", "--threads", "-2", "must be >= 0, got -2"),
+        ("simulate", "--rounds", "2.5", "not an integer: '2.5'"),
+    ])
+    def test_bad_count_flag_exits_2_before_any_ingest(self, dataset_dir, fitted_exp_model,
+                                                      capsys, monkeypatch,
+                                                      command, flag, value, message):
+        read = []
+        for name in ("parse_blocks_csv", "_load_model"):
+            real = getattr(cli, name)
+            monkeypatch.setattr(cli, name, lambda path, real=real: read.append(path) or real(path))
+        argv = {
+            "fit": ["fit", "--blocks", str(dataset_dir / "blocks.csv"), "--lambda", "0.0017",
+                    "--family", "exp"],
+            "simulate": ["simulate", "--model", str(fitted_exp_model[0]), "--delta0", "1",
+                         "--rounds", "10", "--seed", "1"],
+        }[command]
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert (exc.value.code, read) == (2, [])
+        assert f"{flag}: {message}" in capsys.readouterr().err
+
     def test_help_lists_subcommands(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--help"])

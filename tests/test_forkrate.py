@@ -19,6 +19,7 @@ from forkcast.errors import (
 )
 from forkcast.forkrate import (
     _excluding_row_sums,
+    _others,
     _population_integral,
     conditional_fork_rate,
     fork_rate,
@@ -49,10 +50,11 @@ from forkcast.quadrature import (
     PointMassTransform,
     PosteriorTransform,
     TruncatedPowerLaw,
+    posterior_mixture,
 )
 from forkcast.simulate import SimConfig, simulate_fork_rate
 
-from conftest import SUITE_SEED
+from conftest import SUITE_SEED, gamma_form_reference
 
 # 40-digit reference for the two-miner exponential market at r = 20000,
 # delta0 = 1 (closed form 1 - 2r/d + 2 r^2 log(1 + d/r) / d^2 evaluated in
@@ -181,7 +183,7 @@ class TestTaylor:
 class TestIIDForkRate:
     def test_exponential_two_miner_reference(self):
         res = fork_rate_iid(Exponential(20000.0), 2, 1.0)
-        assert res.method == "closed_form"
+        assert res.method == "quadrature"
         assert res.value == pytest.approx(EXP_N2_D1_REFERENCE, rel=1e-9)
         # leading order (2/3) d/r confirms the magnitude
         assert res.value == pytest.approx((2 / 3) * 1.0 / 20000.0, rel=1e-4)
@@ -196,10 +198,8 @@ class TestIIDForkRate:
     @pytest.mark.parametrize("d0", [0.5, 2.0])
     def test_closed_form_matches_generic_quadrature(self, n, d0):
         for fam in (Exponential(20000.0), TruncatedPowerLaw(0.75, 5000.0)):
-            closed = fork_rate_iid(fam, n, d0, method="closed_form")
-            generic = fork_rate_iid(fam, n, d0, method="quadrature")
-            assert generic.value == pytest.approx(closed.value, rel=1e-8)
-            assert closed.method == "closed_form"
+            generic = fork_rate_iid(fam, n, d0)
+            assert abs(generic.value - gamma_form_reference(fam, n, d0)) <= 1e-8 * generic.value
             assert generic.method == "quadrature"
 
     def test_tpl_alpha_zero_reduces_to_exponential(self):
@@ -379,6 +379,15 @@ class TestExcludingRowSums:
         assert out[0, 1] == pytest.approx(m * -1.0 - 3.0 + 1.0)
         assert out[1, 1] == pytest.approx(m * -1.0)
 
+    @pytest.mark.parametrize("n", [2, 3, 35, 2**40 + 1])
+    def test_lone_row_is_the_general_sum(self, n):
+        rows = np.array([[-np.inf, -1.0, -0.1, 0.0, -7e-300], [-np.inf, -1e-17, -2.5, -np.inf, -1e3]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the -inf entries raise no warning
+            out = _others(rows, n)
+        assert np.array_equal(out, _excluding_row_sums(rows[None], float(n))[0])
+        assert np.array_equal(np.isneginf(out), np.isneginf(rows))
+
 
 class TestDelayValidation:
     """Bad delays fail at the public boundary with one typed error."""
@@ -536,18 +545,6 @@ def _reference_family(kind):
     return method_of_moments(moments, kind)
 
 
-def _gamma_form_reference(family, n, d0):
-    """30-digit i.i.d. fork rate of a Gamma-form family (shape k, rate b).
-
-    With y = b / (b + x) the reduced integral is
-    ``1 - n k int_0^1 y^(nk-1) (1 + y d0/b)^(-(n-1)k) dy``, a Gauss
-    hypergeometric function.
-    """
-    with mp.workdps(30):
-        k, nk = mp.mpf(family.shape), n * mp.mpf(family.shape)
-        return 1 - mp.hyp2f1(nk - k, nk, nk + 1, -mp.mpf(d0) / mp.mpf(family.beta))
-
-
 def _semi_reference(counts: BlockCounts, gamma: float, delays, iid: bool):
     """30-digit fork rates of a block-count posterior model, one per delay.
 
@@ -617,9 +614,8 @@ class TestErrorEstimateOracle:
     @pytest.mark.parametrize("kind", ["exp", "tpl"])
     def test_gamma_form(self, kind, n):
         family = _reference_family(kind)
-        refs = [_gamma_form_reference(family, n, d0) for d0 in ORACLE_DELAYS]
-        for method in ("closed_form", "quadrature"):
-            self.check([fork_rate_iid(family, n, d0, method=method) for d0 in ORACLE_DELAYS], refs)
+        refs = [gamma_form_reference(family, n, d0) for d0 in ORACLE_DELAYS]
+        self.check([fork_rate_iid(family, n, d0) for d0 in ORACLE_DELAYS], refs)
         self.check(fork_rate_curve(IIDNull(family, n), ORACLE_DELAYS), refs)
 
     @pytest.mark.parametrize("n", [2, 35, 350])
@@ -699,12 +695,22 @@ class TestPopulationIntegral:
             ("lognormal", 2, (1e-3, 0.815, 9.0)),
             ("lognormal", 5, (1e-3, 0.815, 9.0)),
             ("lognormal", 35, (1e-3, 0.815, 9.0)),
+            ("semi-iid", 2, (1e-3, 0.815, 9.0)),
+            ("semi-iid", 35, (1e-3, 0.815, 9.0)),
         ],
     )
     def test_one_group_equals_n_explicit_rows(self, kind, n, delays):
-        family = _reference_family(kind)
+        if kind == "semi-iid":
+            from forkcast.synthetic import REFERENCE_LAMBDA
+
+            counts = _oracle_counts(n)
+            model = SemiEmpiricalIID(counts, counts.total / REFERENCE_LAMBDA)
+            family = posterior_mixture(counts.counts, model.gamma)
+        else:
+            family = _reference_family(kind)
+            model = IIDNull(family, n)
         for d0 in delays:
-            grouped = fork_rate_iid(family, n, d0, method="quadrature")
+            grouped = fork_rate(model, d0)
             # fork_rate_inid groups equal members, so the n rows go in directly
             (rows,), _ = _population_integral([family] * n, np.ones(n), np.array([d0]))
             assert grouped.value == pytest.approx(rows, rel=1e-13, abs=0.0)
@@ -712,7 +718,7 @@ class TestPopulationIntegral:
     def test_equal_members_are_one_iid_row(self):
         family = _reference_family("lognormal")
         inid = fork_rate_inid([family] * 35, 2.0)
-        iid = fork_rate_iid(family, 35, 2.0, method="quadrature")
+        iid = fork_rate_iid(family, 35, 2.0)
         assert (inid.value, inid.error_estimate) == (iid.value, iid.error_estimate)
 
     def test_grouped_posterior_member_is_its_rows(self):
@@ -755,7 +761,7 @@ class TestDispatcher:
         assert res.method == "conditional"
 
     def test_iid_null_dispatch(self):
-        assert fork_rate(IIDNull(Exponential(2e4), 5), 1.0).method == "closed_form"
+        assert fork_rate(IIDNull(Exponential(2e4), 5), 1.0).method == "quadrature"
         assert fork_rate(IIDNull(LogNormal(-10.7, 1.27), 5), 1.0).method == "quadrature"
 
 
@@ -789,10 +795,13 @@ class TestRateValidation:
             with pytest.raises(InvalidModel):
                 call()
 
-    def test_infinite_implied_delay_is_invalid(self):
-        # a normal rate times 1 - hhi can still be subnormal
-        res = implied_delta0(0.5, 2.3e-308, 1.0 - 1e-10)
-        assert res.value == math.inf and not res.valid
+    @pytest.mark.parametrize("hhi_value", [1.0 - 1e-10, 0.99, 0.5])
+    def test_overflowing_implied_delay_is_rejected(self, hhi_value):
+        # formerly value=inf, valid=False: a normal rate times 1 - hhi can
+        # still be subnormal, and no JSON output can carry the delay
+        with pytest.raises(InvalidModel, match="lambda_total \\* \\(1 - hhi\\)"):
+            implied_delta0(0.5, 2.3e-308, hhi_value)
+        assert implied_delta0(0.5, 4.5e-308, 0.5).valid
 
 
 class TestImplied:
