@@ -505,7 +505,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta0", type=_delays, required=True,
                    help="comma-separated propagation delays, seconds")
     p.add_argument("--method", choices=("auto", "quadrature", "taylor", "conditional"),
-                   default="auto", help="auto is conditional for fixed rates, else quadrature")
+                   default="auto",
+                   help="auto: conditional for fixed rates, else the population integral")
     p.set_defaults(func=cmd_forkrate)
 
     p = sub.add_parser("simulate", help="Monte Carlo fork-rate experiment")

@@ -234,35 +234,14 @@ def _excluding_row_sums(rows: np.ndarray, mult: np.ndarray) -> np.ndarray:
     return np.where(keeps_inf, -np.inf, out)
 
 
-def _others(row: np.ndarray, n) -> np.ndarray:
-    """``n * row - row``: :func:`_excluding_row_sums` of a lone row of n >= 2 members."""
-    neg = np.isneginf(row)
-    if not neg.any():
-        return n * row - row
-    with np.errstate(invalid="ignore"):  # -inf - -inf, replaced by -inf
-        return np.where(neg, row, n * row - row)
-
-
 def _population_integral(transforms, mult, delays: np.ndarray):
     """C(d) = integral sum_i W_i(x) prod_{j!=i} L_j(x) (-expm1(sum_{j!=i} dec_j)) dx.
 
     ``transforms`` and ``mult`` are a population (:func:`.model.population`):
     row g stands for ``mult[g]`` miners.  All delays are integrated at once.
-    A population of one 1-D row of n miners skips the stacking: its sums
-    over the others are :func:`_others` of its own row.
     """
     means = np.concatenate([np.atleast_1d(t.mean()) for t in transforms])
     scale = 1.0 / math.fsum((mult * means).tolist())
-
-    if len(transforms) == 1 and np.ndim(transforms[0].mean()) == 0:
-        (t,), (n,) = transforms, mult
-
-        def integrand(x: np.ndarray) -> np.ndarray:
-            log_w, log_l, dec = _log_rows(t, x, delays)
-            return (n * np.exp(log_w + _others(log_l, n)))[:, None] * -np.expm1(_others(dec, n))
-
-        return _integrate_semi_infinite(integrand, scale=scale)
-
     mult = np.asarray(mult, dtype=float)[:, None]
 
     def integrand(x: np.ndarray) -> np.ndarray:

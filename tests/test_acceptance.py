@@ -113,7 +113,7 @@ def test_criterion_01_analytic_monte_carlo_agreement(analytic_grid, simulated_gr
     report(1, f"36 grid points within 3 stderr at 1e6 rounds (worst z {worst:.2f})")
 
 
-def test_criterion_02_closed_form_vs_generic_quadrature(fitted_families, analytic_grid):
+def test_criterion_02_quadrature_vs_hypergeometric_reference(fitted_families, analytic_grid):
     worst = 0.0
     for kind in ("exp", "tpl"):
         fam = fitted_families[kind]

@@ -19,7 +19,6 @@ from forkcast.errors import (
 )
 from forkcast.forkrate import (
     _excluding_row_sums,
-    _others,
     _population_integral,
     conditional_fork_rate,
     fork_rate,
@@ -196,7 +195,7 @@ class TestIIDForkRate:
 
     @pytest.mark.parametrize("n", [2, 10, 35])
     @pytest.mark.parametrize("d0", [0.5, 2.0])
-    def test_closed_form_matches_generic_quadrature(self, n, d0):
+    def test_gamma_form_matches_hypergeometric_reference(self, n, d0):
         for fam in (Exponential(20000.0), TruncatedPowerLaw(0.75, 5000.0)):
             generic = fork_rate_iid(fam, n, d0)
             assert abs(generic.value - gamma_form_reference(fam, n, d0)) <= 1e-8 * generic.value
@@ -379,14 +378,6 @@ class TestExcludingRowSums:
         assert out[0, 1] == pytest.approx(m * -1.0 - 3.0 + 1.0)
         assert out[1, 1] == pytest.approx(m * -1.0)
 
-    @pytest.mark.parametrize("n", [2, 3, 35, 2**40 + 1])
-    def test_lone_row_is_the_general_sum(self, n):
-        rows = np.array([[-np.inf, -1.0, -0.1, 0.0, -7e-300], [-np.inf, -1e-17, -2.5, -np.inf, -1e3]])
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the -inf entries raise no warning
-            out = _others(rows, n)
-        assert np.array_equal(out, _excluding_row_sums(rows[None], float(n))[0])
-        assert np.array_equal(np.isneginf(out), np.isneginf(rows))
 
 
 class TestDelayValidation:
