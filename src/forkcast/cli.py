@@ -224,12 +224,9 @@ def _resolve_forkrate_model(args) -> HashRateModel:
 
 def cmd_forkrate(args) -> int:
     model = _resolve_forkrate_model(args)
-    fixed = isinstance(model, Fixed)
-    if args.method in ("conditional", "taylor") and not fixed:
-        raise ForkcastError(f"--method {args.method} needs a fixed-rate model")
-    if args.method == "quadrature" and fixed:
-        raise ForkcastError("--method quadrature needs a distributional model")
     if args.method == "taylor":
+        if not isinstance(model, Fixed):
+            raise ForkcastError("--method taylor needs a fixed-rate model")
         total, hhi_value = model.miners.total, hhi_from_counts(model.miners)
         curve = [taylor_fork_rate(total, hhi_value, d0) for d0 in args.delta0]
     else:
@@ -371,8 +368,10 @@ def _report_csv(doc: dict) -> str:
 
 
 def _families(text: str) -> list[str]:
-    """The ``--families`` list; an unknown name is a usage error, found before any ingest."""
+    """The ``--families`` list; no name or an unknown one is a usage error, found before ingest."""
     families = [f.strip() for f in text.split(",") if f.strip()]
+    if not families:
+        raise argparse.ArgumentTypeError(f"no family in {text!r}")
     unknown = [f for f in families if f not in _PIPELINE_FAMILIES]
     if unknown:
         raise argparse.ArgumentTypeError(
@@ -421,6 +420,14 @@ def _integer(minimum: int):
         return value
 
     return parse
+
+
+def _seed(text: str) -> int:
+    """An argparse type: an RNG seed in [0, 2**128), else a usage error found before any ingest."""
+    value = _integer(0)(text)
+    if value >= 1 << 128:
+        raise argparse.ArgumentTypeError(f"must be < 2**128, got {value}")
+    return value
 
 
 def cmd_pipeline(args) -> int:
@@ -504,16 +511,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="total hash rate, blocks/s (with --blocks)")
     p.add_argument("--delta0", type=_delays, required=True,
                    help="comma-separated propagation delays, seconds")
-    p.add_argument("--method", choices=("auto", "quadrature", "taylor", "conditional"),
-                   default="auto",
-                   help="auto: conditional for fixed rates, else the population integral")
+    p.add_argument("--method", choices=("auto", "taylor"), default="auto",
+                   help="auto: conditional for fixed rates, else the population integral; "
+                        "taylor: the first-order expansion, for fixed rates")
     p.set_defaults(func=cmd_forkrate)
 
     p = sub.add_parser("simulate", help="Monte Carlo fork-rate experiment")
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--delta0", type=float, required=True)
     p.add_argument("--rounds", type=_integer(1), required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.add_argument("--threads", type=_integer(0), default=0,
                    help="worker threads; 0 (default) picks automatically")
     p.add_argument("--fixed-rates", action="store_true",
@@ -534,9 +541,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family", choices=tuple(_FAMILIES), required=True)
     p.add_argument("--delta0-grid", type=_delays, required=True,
                    help="comma-separated delays, seconds")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_integer(100), default=200)
     p.add_argument("--percentiles", type=_percentiles, default="5,95")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_seed, required=True)
     p.set_defaults(func=cmd_band)
 
     p = sub.add_parser("pipeline", help="period-wise report over the four data files")

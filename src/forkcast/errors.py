@@ -15,7 +15,7 @@ class QuadratureError(ForkcastError):
 
 
 class NonConvergent(QuadratureError):
-    """Subdivision limit reached before the requested tolerance."""
+    """Refinement level ``quadrature.MAX_LEVEL`` passed before the requested tolerance."""
 
 
 class NonFinite(QuadratureError):

@@ -25,7 +25,7 @@ from .errors import (
     check_positive,
 )
 from .forkrate import _delay_grid, fork_rate_curve
-from .model import BlockCounts, IIDNull, MinerSet, check_rate
+from .model import BlockCounts, IIDNull, MinerSet, check_rate, check_seed
 from .quadrature import Exponential, LogNormal, NullFamily, TruncatedPowerLaw
 
 __all__ = [
@@ -206,6 +206,7 @@ def confidence_band(
     """
     if n_samples < 100:
         raise InvalidModel(f"n_samples must be >= 100, got {n_samples}")
+    check_seed(seed)
     low, high = percentiles
     if not (0.0 < low < high < 100.0):
         raise InvalidModel(f"percentiles must satisfy 0 < low < high < 100, got {percentiles}")

@@ -33,6 +33,7 @@ __all__ = [
     "characteristic_time",
     "check_delay",
     "check_rate",
+    "check_seed",
 ]
 
 
@@ -246,7 +247,7 @@ class ForkRateResult:
     """A computed fork probability with provenance.
 
     ``method`` is one of ``conditional``, ``taylor``, ``quadrature``,
-    ``semi_empirical``, ``monte_carlo``.
+    ``semi_empirical``.
     """
 
     value: float
@@ -271,6 +272,14 @@ def check_delay(value: float, name: str = "delta0") -> None:
     """
     if value != 0.0:
         check_positive(value, name, InvalidDelay)
+
+
+def check_seed(seed: int) -> None:
+    """Raise :class:`InvalidModel` unless ``seed`` is an int in [0, 2**128), a valid RNG key."""
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
+        raise InvalidModel(f"seed must be an int, got {seed!r}")
+    if not 0 <= seed < 1 << 128:
+        raise InvalidModel(f"seed must lie in [0, 2**128), got {seed}")
 
 
 def check_rate(lambda_total: float) -> None:

@@ -8,36 +8,33 @@ The miners are :func:`.model.population`, the rows and multiplicities
 the fork-rate integral uses; every row draws its columns through its own
 ``sample``.  Fixed rates are point-mass rows, drawn once per experiment.
 
-Reproducibility contract: rounds are partitioned into fixed-size chunks
-(sized by the miner count only) and chunk ``k`` draws from its own SFC64
+Reproducibility contract: rounds are partitioned into row blocks of
+``BLOCK_ELEMENTS`` cells (``BLOCK_ELEMENTS // n`` rounds, at least one;
+the last block may be partial), and block ``k`` draws from its own SFC64
 stream, spawned from ``SeedSequence(seed)`` with spawn key ``k + 1``; key 0
-draws the experiment-level fixed rates.  Partial results are reduced in
-chunk order, so the outcome is bit-identical for any thread count.
-
-Within a chunk the stream is consumed row block by row block
-(``BLOCK_ELEMENTS`` cells a block, rows in order): each block draws its
-rates, then its exponential solve times, and is divided, partitioned and
-counted while it is in cache.  The outcome therefore depends on the chunk
-and block sizes, never on the thread count.  A worker thread holds a few
-row blocks plus one fastest time per round of its chunk.
+draws the experiment-level fixed rates.  A block draws its rates (unless
+they are fixed), then its exponential solve times, and is divided,
+partitioned and counted while it is in cache.  Its partial results are
+reduced in block order, so the outcome depends on ``BLOCK_ELEMENTS`` only,
+never on the thread count.  A worker thread holds one row block at a time,
+and at most two blocks a thread wait to be reduced.
 """
 
 from __future__ import annotations
 
 import math
 import os
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidModel
-from .model import Fixed, HashRateModel, check_delay, population
+from .model import Fixed, HashRateModel, check_delay, check_seed, population
 
 __all__ = ["SimConfig", "SimOutcome", "simulate_fork_rate", "simulate_min_time"]
 
-CHUNK_ROUNDS = 1 << 16
-CHUNK_ELEMENTS = 1 << 22
 BLOCK_ELEMENTS = 1 << 16  # exponentials per row block: 512 KiB, cache-resident
 
 
@@ -59,14 +56,13 @@ class SimConfig:
     resample_rates: bool = True
 
     def __post_init__(self):
-        for name in ("rounds", "seed", "threads"):
+        for name in ("rounds", "threads"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise InvalidModel(f"{name} must be an int, got {value!r}")
+        check_seed(self.seed)
         if self.rounds < 1:
             raise InvalidModel(f"rounds must be >= 1, got {self.rounds}")
-        if not 0 <= self.seed < 1 << 128:
-            raise InvalidModel(f"seed must lie in [0, 2**128), got {self.seed}")
         check_delay(self.delta0)
         if self.threads < 0:
             raise InvalidModel(f"threads must be >= 0, got {self.threads}")
@@ -84,21 +80,9 @@ class SimOutcome:
 
 
 def _rng(seed: int, key: int) -> np.random.Generator:
-    # key 0 draws experiment-level fixed rate vectors; chunk k of the
+    # key 0 draws experiment-level fixed rate vectors; row block k of the
     # experiment uses key k + 1
     return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(key,))))
-
-
-def _chunk_rounds(n: int) -> int:
-    """Rounds per chunk for ``n`` miners: at most ``CHUNK_ELEMENTS`` cells.
-
-    A chunk is the parallel grain, so its work is bounded; memory is not
-    its concern, since a worker draws one row block at a time.  The size
-    depends on the model only, never on the thread count, so the chunk
-    partition (and with it every result) is the same for any number of
-    threads.  Up to 64 miners a chunk is the full ``CHUNK_ROUNDS``.
-    """
-    return min(CHUNK_ROUNDS, max(1, CHUNK_ELEMENTS // n))
 
 
 def _sample_rates(pop, rng: np.random.Generator, rounds: int) -> np.ndarray:
@@ -123,27 +107,34 @@ def _sample_rates(pop, rng: np.random.Generator, rounds: int) -> np.ndarray:
     return rates
 
 
-def _run_chunk(pop, fixed_rates, delta0: float, rng: np.random.Generator, rounds: int):
-    """``(forks, sum of first solve times)`` over ``rounds`` rounds.
+def _run_block(pop, fixed_rates, delta0: float, rng: np.random.Generator, rounds: int):
+    """``(forks, sum of first solve times)`` over one row block of ``rounds`` rounds.
 
-    Each row block of about ``BLOCK_ELEMENTS`` cells draws its rates (unless
-    they are fixed), then its exponentials from the same stream.  The
-    fastest times of all blocks are summed once, in round order.
+    The block draws its rates (unless they are fixed), then its exponentials
+    from the same stream.
     """
-    n = int(np.sum(pop[1]))
-    step = max(1, BLOCK_ELEMENTS // n)
-    first = np.empty(rounds)
-    n_fork = 0
-    for lo in range(0, rounds, step):
-        hi = min(lo + step, rounds)
-        rates = fixed_rates if fixed_rates is not None else _sample_rates(pop, rng, hi - lo)
-        times = rng.standard_exponential((hi - lo, n))
-        times /= rates
-        times.partition(1, axis=1)
-        first[lo:hi] = times[:, 0]
-        n_fork += int(np.count_nonzero(times[:, 1] - times[:, 0] < delta0))
-        del rates, times  # freed before the next block draws
-    return n_fork, float(first.sum())
+    rates = fixed_rates if fixed_rates is not None else _sample_rates(pop, rng, rounds)
+    times = rng.standard_exponential((rounds, rates.shape[1]))
+    times /= rates
+    times.partition(1, axis=1)
+    n_fork = int(np.count_nonzero(times[:, 1] - times[:, 0] < delta0))
+    return n_fork, float(times[:, 0].sum())
+
+
+def _in_order(job, n_jobs: int, threads: int):
+    """``job(k)`` for ``k < n_jobs``, in order, run on ``threads`` threads.
+
+    At most ``2 * threads`` jobs are submitted and not yet taken, so memory
+    does not grow with the number of jobs.
+    """
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        pending = deque()
+        for k in range(n_jobs):
+            pending.append(pool.submit(job, k))
+            if len(pending) == 2 * threads:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
 
 
 def simulate_fork_rate(cfg: SimConfig) -> SimOutcome:
@@ -159,24 +150,23 @@ def simulate_fork_rate(cfg: SimConfig) -> SimOutcome:
     if isinstance(cfg.model, Fixed) or not cfg.resample_rates:
         fixed_rates = _sample_rates(pop, _rng(cfg.seed, 0), 1)
 
-    step = _chunk_rounds(width)
-    n_chunks = (cfg.rounds + step - 1) // step
-    sizes = [min(step, cfg.rounds - i * step) for i in range(n_chunks)]
+    step = max(1, BLOCK_ELEMENTS // width)
+    n_blocks = (cfg.rounds + step - 1) // step
 
-    def job(i: int) -> tuple[int, float]:
-        return _run_chunk(pop, fixed_rates, cfg.delta0, _rng(cfg.seed, i + 1), sizes[i])
+    def job(k: int) -> tuple[int, float]:
+        rounds = min(step, cfg.rounds - k * step)
+        return _run_block(pop, fixed_rates, cfg.delta0, _rng(cfg.seed, k + 1), rounds)
 
     threads = cfg.threads or int(os.environ.get("FORKCAST_THREADS", "0") or 0)
     if threads == 0:
         threads = min(8, os.cpu_count() or 1)
-    if threads == 1 or n_chunks == 1:
-        partials = [job(i) for i in range(n_chunks)]
+    if threads == 1 or n_blocks == 1:
+        partials = map(job, range(n_blocks))
     else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            partials = list(pool.map(job, range(n_chunks)))
+        partials = _in_order(job, n_blocks, threads)
 
     n_fork, sum_min = 0, 0.0
-    for nf, sm in partials:  # in chunk order: bit-identical for any thread count
+    for nf, sm in partials:  # in block order: bit-identical for any thread count
         n_fork += nf
         sum_min += sm
 

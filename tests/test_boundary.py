@@ -138,6 +138,8 @@ CHECKS = [
      lambda: confidence_band(COUNTS, 1e-3, "exp", [1.0], 100, percentiles=(95.0, 5.0))),
     ("percentiles must satisfy",
      lambda: confidence_band(COUNTS, 1e-3, "exp", [1.0], 100, percentiles=(0.0, 95.0))),
+    ("seed must lie in [0, 2**128)",
+     lambda: confidence_band(COUNTS, 1e-3, "exp", [1.0], 100, seed=-3)),
     ("n_zero must be >= 0", lambda: add_zero_miners(COUNTS, -1)),
     ("period_len must be >= 1", lambda: segment_periods(BLOCKS, 0)),
     ("period_len must be >= 1", lambda: segment_periods(BLOCKS, -3)),

@@ -146,8 +146,7 @@ class TestForkrateCommand:
         model = tmp_path / "fixed.json"
         model.write_text(json.dumps(model_to_json(Fixed(MinerSet([0.001, 0.001])))))
         code, out, _ = run_cli(
-            capsys, "forkrate", "--model", str(model), "--delta0", "100",
-            "--method", "conditional",
+            capsys, "forkrate", "--model", str(model), "--delta0", "100", "--method", "auto",
         )
         assert code == 0
         line = out.splitlines()[1].split(",")
@@ -229,21 +228,30 @@ class TestForkrateCommand:
         assert (code, out) == (3, "")
         assert "delta0 must be" in err
 
-    def test_quadrature_method_is_auto(self, fitted_exp_model, capsys):
+    def test_auto_is_quadrature_for_a_distributional_model(self, fitted_exp_model, capsys):
         path, doc = fitted_exp_model
-        outs = [
-            run_cli(capsys, "forkrate", "--model", str(path), "--delta0", "2,0.5",
-                    "--method", method)
-            for method in ("auto", "quadrature")
-        ]
-        assert outs[0] == outs[1]
-        code, out, _ = outs[0]
+        code, out, _ = run_cli(capsys, "forkrate", "--model", str(path), "--delta0", "2,0.5",
+                               "--method", "auto")
         assert code == 0
         for line, d0 in zip(out.splitlines()[1:], (2.0, 0.5)):
             fields = line.split(",")
             want = fork_rate_iid(Exponential(doc["family"]["rate"]), doc["n"], d0)
             assert fields[3] == "quadrature"
             assert fields[1:3] == [repr(want.value), repr(want.error_estimate)]
+
+    @pytest.mark.parametrize("method", ["quadrature", "conditional"])
+    def test_methods_that_were_auto_exit_2(self, fitted_exp_model, capsys, method):
+        with pytest.raises(SystemExit) as exc:
+            main(["forkrate", "--model", str(fitted_exp_model[0]), "--delta0", "2",
+                  "--method", method])
+        assert exc.value.code == 2
+        assert "--method: invalid choice" in capsys.readouterr().err
+
+    def test_taylor_needs_a_fixed_rate_model(self, fitted_exp_model, capsys):
+        code, out, err = run_cli(capsys, "forkrate", "--model", str(fitted_exp_model[0]),
+                                 "--delta0", "2", "--method", "taylor")
+        assert (code, out) == (3, "")
+        assert "--method taylor needs a fixed-rate model" in err
 
     def test_blocks_input_conditional(self, dataset_dir, capsys):
         code, out, _ = run_cli(
@@ -509,6 +517,23 @@ class TestPipelineCommand:
         for name in ("blocks", "stale", "propagation", "hashrate"):
             assert len(doc["inputs"][name]["sha256"]) == 64
 
+    @pytest.mark.parametrize("text", [",", ""])
+    def test_empty_family_list_exits_2_before_any_ingest(self, tmp_path, capsys, monkeypatch,
+                                                         text):
+        def parse(path):
+            raise AssertionError("ingest ran")
+
+        monkeypatch.setattr(cli, "parse_blocks_csv", parse)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "pipeline", "--blocks", "b.csv", "--stale", "s.csv",
+                "--propagation", "p.csv", "--hashrate", "h.csv",
+                "--out", str(tmp_path / "report.json"), "--families", text,
+            ])
+        assert exc.value.code == 2
+        assert f"--families: no family in {text!r}" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_unknown_family_exits_2_before_any_ingest(self, tmp_path, capsys, monkeypatch):
         def parse(path):
             raise AssertionError("ingest ran")
@@ -621,6 +646,11 @@ class TestParserBasics:
         ("simulate", "--rounds", "0", "must be >= 1, got 0"),
         ("simulate", "--threads", "-2", "must be >= 0, got -2"),
         ("simulate", "--rounds", "2.5", "not an integer: '2.5'"),
+        ("simulate", "--seed", "-1", "must be >= 0, got -1"),
+        ("simulate", "--seed", str(1 << 128), f"must be < 2**128, got {1 << 128}"),
+        ("band", "--seed", "-3", "must be >= 0, got -3"),
+        ("band", "--seed", str(1 << 128), f"must be < 2**128, got {1 << 128}"),
+        ("band", "--samples", "5", "must be >= 100, got 5"),
     ])
     def test_bad_count_flag_exits_2_before_any_ingest(self, dataset_dir, fitted_exp_model,
                                                       capsys, monkeypatch,
@@ -634,6 +664,8 @@ class TestParserBasics:
                     "--family", "exp"],
             "simulate": ["simulate", "--model", str(fitted_exp_model[0]), "--delta0", "1",
                          "--rounds", "10", "--seed", "1"],
+            "band": ["band", "--blocks", str(dataset_dir / "blocks.csv"), "--lambda", "0.0017",
+                     "--family", "exp", "--delta0-grid", "1", "--seed", "1"],
         }[command]
         capsys.readouterr()
         with pytest.raises(SystemExit) as exc:
@@ -674,7 +706,7 @@ class TestParserBasics:
 
         monkeypatch.setenv("FORKCAST_THREADS", "3")
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
-        rounds = 2 * simulate.CHUNK_ROUNDS + 1  # three chunks at two miners
+        rounds = 2 * (simulate.BLOCK_ELEMENTS // 2) + 1  # three row blocks at two miners
         cfg = simulate.SimConfig(Fixed(MinerSet([0.001, 0.002])), 1.0, rounds, seed=1)
         simulate.simulate_fork_rate(cfg)
         assert workers == [3]

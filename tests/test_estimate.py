@@ -214,6 +214,20 @@ class TestConfidenceBand:
                 percentiles=(95.0, 5.0),
             )
 
+    @pytest.mark.parametrize("seed, message", [(-3, "seed must lie in"),
+                                               (1 << 128, "seed must lie in"),
+                                               (1.5, "seed must be an int"),
+                                               (True, "seed must be an int")])
+    def test_seed_outside_the_key_range_rejected(self, reference_counts, reference_lambda,
+                                                 seed, message):
+        with pytest.raises(InvalidModel, match=message):
+            confidence_band(reference_counts, reference_lambda, "exp", (1.0,), 100, seed=seed)
+
+    def test_largest_seed_runs(self, reference_counts, reference_lambda):
+        band = confidence_band(reference_counts, reference_lambda, "exp", (1.0,), 100,
+                               seed=(1 << 128) - 1)
+        assert band.lower[0] <= band.point[0] <= band.upper[0]
+
     def test_too_few_usable_draws(self, reference_counts, reference_lambda, monkeypatch):
         # a floor far above s^2 rejects every one of the capped draws
         monkeypatch.setattr(estimate, "_S2_FLOOR_FRACTION", 100.0)

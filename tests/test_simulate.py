@@ -20,18 +20,7 @@ from forkcast.model import (
     population,
 )
 from forkcast.quadrature import Exponential, LogNormal, PointMassTransform, TruncatedPowerLaw
-from forkcast.simulate import (
-    BLOCK_ELEMENTS,
-    CHUNK_ELEMENTS,
-    CHUNK_ROUNDS,
-    SimConfig,
-    _chunk_rounds,
-    _rng,
-    _run_chunk,
-    _sample_rates,
-    simulate_fork_rate,
-    simulate_min_time,
-)
+from forkcast.simulate import BLOCK_ELEMENTS, SimConfig, simulate_fork_rate, simulate_min_time
 from forkcast.synthetic import REFERENCE_COUNTS, REFERENCE_LAMBDA
 
 from conftest import SUITE_SEED
@@ -132,47 +121,23 @@ class TestMinTime:
         assert a == pytest.approx(20000.0 / 9, rel=0.01)
 
 
-class TestChunkSize:
-    def test_full_chunks_up_to_64_miners(self):
-        assert [_chunk_rounds(n) for n in (2, 35, 64)] == [CHUNK_ROUNDS] * 3
-
-    @pytest.mark.parametrize("n", [65, 100, 10**4, 10**6, CHUNK_ELEMENTS])
-    def test_chunk_arrays_bounded_by_element_count(self, n):
-        rounds = _chunk_rounds(n)
-        assert rounds == CHUNK_ELEMENTS // n < CHUNK_ROUNDS
-        assert rounds * n <= CHUNK_ELEMENTS
-
-    def test_at_least_one_round(self):
-        assert _chunk_rounds(CHUNK_ELEMENTS + 1) == 1
-
-    def test_thread_invariant_where_chunks_shrink(self):
-        model = IIDNull(Exponential(20000.0), 100)
-        rounds = 100_000  # three chunks of at most 41,943 rounds
-        assert _chunk_rounds(100) == 41_943
-        one, two = (
-            simulate_fork_rate(SimConfig(model, 2.0, rounds, seed=7, threads=t))
-            for t in (1, 2)
-        )
-        assert one == two
-
-
 class TestRowBlocks:
-    """Each row block draws its rates, then its exponentials, from the chunk's stream."""
+    """Row block k draws its rates, then its exponentials, from its own stream k + 1."""
 
     @pytest.mark.parametrize("n", [2, 35, 100, 350])
     def test_thread_invariant_across_partial_blocks(self, n):
         rows = BLOCK_ELEMENTS // n
-        rounds = _chunk_rounds(n) + rows + rows // 2 + 1  # a second, partial chunk
-        assert (rounds - _chunk_rounds(n)) % rows
+        rounds = 4 * rows + rows // 2 + 1  # four row blocks and a partial fifth
+        assert rounds % rows
         model = IIDNull(Exponential(20000.0), n)
-        one, two = (
+        one, two, three = (
             simulate_fork_rate(SimConfig(model, 2.0, rounds, seed=n, threads=t))
-            for t in (1, 2)
+            for t in (1, 2, 3)
         )
-        assert one == two
+        assert one == two == three
 
     @pytest.mark.parametrize("n", [2, 35, 350])
-    def test_chunk_matches_reference_for_any_block_size(self, monkeypatch, n):
+    def test_matches_reference_for_any_block_size(self, monkeypatch, n):
         a = n - n // 2
         model = INIDNull([Exponential(20000.0)] * a + [LogNormal(-10.7, 1.2)] * (n // 2))
 
@@ -180,14 +145,14 @@ class TestRowBlocks:
             return np.hstack([rng.exponential(1 / 20000.0, (rows, a)),
                               rng.lognormal(-10.7, 1.2, (rows, n // 2))])
 
-        for elements in (1, 3 * n + 1, BLOCK_ELEMENTS, CHUNK_ELEMENTS * n):
+        for elements in (1, 3 * n + 1, 1 << 16):
             monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", elements)
             rounds = _rounds_for(elements, n)
-            got = _run_chunk(population(model), None, 2.0, _rng(n, 1), rounds)
-            assert got == _reference_chunk(rates, n, 2.0, _spawned(n, 1), rounds, elements)
+            out = simulate_fork_rate(SimConfig(model, 2.0, rounds, seed=n, threads=1))
+            assert (out.n_fork, out.mean_min_time) == _reference(rates, n, 2.0, n, rounds, elements)
 
     @pytest.mark.parametrize("iid", [True, False])
-    def test_posterior_chunk_matches_reference_for_any_block_size(self, monkeypatch, iid):
+    def test_posterior_matches_reference_for_any_block_size(self, monkeypatch, iid):
         # semi-IID draws a member per rate, semi-INID has one column per miner,
         # in ascending count order; both draw wald for the positive counts,
         # then gamma for the zero counts
@@ -205,34 +170,35 @@ class TestRowBlocks:
             out[~pos] = rng.gamma(0.5, 2 / _GAMMA, np.count_nonzero(~pos))
             return out
 
-        for elements in (1, 3 * n + 1, BLOCK_ELEMENTS, CHUNK_ELEMENTS * n):
+        for elements in (1, 3 * n + 1, 1 << 16):
             monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", elements)
             rounds = _rounds_for(elements, n)
-            got = _run_chunk(population(model), None, 2.0, _rng(3, 1), rounds)
-            assert got == _reference_chunk(rates, n, 2.0, _spawned(3, 1), rounds, elements)
+            out = simulate_fork_rate(SimConfig(model, 2.0, rounds, seed=3, threads=1))
+            assert (out.n_fork, out.mean_min_time) == _reference(rates, n, 2.0, 3, rounds, elements)
 
 
 def _rounds_for(elements, n):
-    """A few row blocks and a partial last one, within one chunk."""
-    return min(_chunk_rounds(n), 5 * max(1, elements // n) // 2 + 10)
+    """A few row blocks and a partial last one."""
+    return 5 * max(1, elements // n) // 2 + 10
 
 
-def _spawned(seed, key):
-    """Chunk streams are SFC64, spawned from the seed with one key per chunk."""
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(key,))))
+def _reference(rates, n, delta0, seed, rounds, elements):
+    """``(forks, mean first time)`` written plainly.
 
-
-def _reference_chunk(rates, n, delta0, rng, rounds, elements):
-    """``_run_chunk`` written plainly: per row block, its rates, then its exponentials."""
+    Row block k spawns SFC64 key k + 1 from the seed and draws its rates,
+    then its exponentials; the first times are summed per block, and the
+    block sums in block order.
+    """
     step = max(1, elements // n)
-    firsts, forks = [], 0
-    for lo in range(0, rounds, step):
+    forks, total = 0, 0.0
+    for k, lo in enumerate(range(0, rounds, step)):
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed, spawn_key=(k + 1,))))
         rows = min(step, rounds - lo)
         r = rates(rng, rows)
         times = np.sort(rng.standard_exponential((rows, n)) / r, axis=1)
-        firsts.append(times[:, 0])
         forks += int(np.sum(times[:, 1] - times[:, 0] < delta0))
-    return forks, float(np.concatenate(firsts).sum())
+        total += float(times[:, 0].sum())
+    return forks, total / rounds
 
 
 _COUNTS = BlockCounts(REFERENCE_COUNTS)
@@ -240,7 +206,7 @@ _GAMMA = _COUNTS.total / REFERENCE_LAMBDA
 _ZERO_COUNTS = add_zero_miners(_COUNTS, 20)
 # the four models of the benchmark's validate workload (n = 35), and the
 # posteriors with 20 zero-count miners (n = 55)
-CHUNK_MODELS = {
+MEMORY_MODELS = {
     "lognormal": IIDNull(method_of_moments(MomentPair(5e-5, 1e-4), "lognormal"), 35),
     "fixed": Fixed(estimate_hash_rates(_COUNTS, REFERENCE_LAMBDA)),
     "semi-iid": SemiEmpiricalIID(_COUNTS, _GAMMA),
@@ -250,25 +216,36 @@ CHUNK_MODELS = {
 }
 
 
-class TestChunkMemory:
-    @pytest.mark.parametrize("rounds", [CHUNK_ROUNDS, CHUNK_ROUNDS // 4])
-    @pytest.mark.parametrize("name", CHUNK_MODELS)
-    def test_chunk_peak_is_a_few_row_blocks(self, name, rounds):
-        # one block's rates, exponentials and sampler temporaries, plus one
-        # fastest time per round: the peak does not grow with the chunk's
-        # rows, and a block is freed before the next one draws (2.0-2.9
-        # blocks; keeping the previous block's arrays alive takes 4.0-4.9)
-        model = CHUNK_MODELS[name]
-        pop = population(model)
-        fixed = _sample_rates(pop, _rng(1, 0), 1) if isinstance(model, Fixed) else None
-        rng = _rng(1, 1)
+class TestPeakMemory:
+    @pytest.mark.parametrize("rounds", [1 << 16, 1 << 18])
+    @pytest.mark.parametrize("name", MEMORY_MODELS)
+    def test_peak_is_a_few_row_blocks(self, name, rounds):
+        # one block's rates, exponentials and sampler temporaries: the peak
+        # of the whole call does not grow with the rounds, and a block is
+        # freed before the next one draws
+        cfg = SimConfig(MEMORY_MODELS[name], 2.0, rounds, seed=1, threads=1)
         tracemalloc.start()
         try:
-            _run_chunk(pop, fixed, 2.0, rng, rounds)
+            simulate_fork_rate(cfg)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 3.5 * BLOCK_ELEMENTS * 8 + 8 * rounds
+        assert peak <= 3.5 * BLOCK_ELEMENTS * 8
+
+    def test_threads_hold_a_few_jobs(self, monkeypatch):
+        # 1,000 row blocks of 3 rounds on two threads: at most four are
+        # submitted and not yet reduced (29 KB), where submitting every
+        # block at once holds 1.7 KB a block (1.7 MB)
+        monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", 3 * 35)
+        cfg = SimConfig(MEMORY_MODELS["lognormal"], 2.0, 3_000, seed=1, threads=2)
+        simulate_fork_rate(cfg)  # numpy.random finishes its lazy imports
+        tracemalloc.start()
+        try:
+            simulate_fork_rate(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1 << 18
 
 
 @dataclass(frozen=True)

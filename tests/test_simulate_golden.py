@@ -7,10 +7,10 @@ i.i.d. and independent models run on the reference counts plus 20
 zero-count miners, so their posterior draws take both the ``wald`` and the
 zero-count ``gamma`` branch.  These random streams are part of the
 reproducibility contract: a refactor of the sampler must reproduce them bit
-for bit.  They hold for the SFC64 chunk streams spawned from the seed, with
-each row block drawing its rates and then its exponentials, so they also pin
-``simulate.BLOCK_ELEMENTS`` and the chunk size.  The statistical checks of
-the semi-empirical models live in ``test_acceptance.py``.
+for bit.  They hold for the SFC64 streams spawned from the seed, one per
+row block, each drawing its rates and then its exponentials, so they also
+pin ``simulate.BLOCK_ELEMENTS``.  The statistical checks of the
+semi-empirical models live in ``test_acceptance.py``.
 
 Regenerate (only when a stream change is intended) with::
 
@@ -39,7 +39,7 @@ from forkcast.simulate import SimConfig, simulate_fork_rate
 from forkcast.synthetic import REFERENCE_COUNTS, REFERENCE_LAMBDA
 
 GOLDEN = Path(__file__).parent / "golden" / "simulate.json"
-ROUNDS = 100_000  # two chunks up to 64 miners, three at n = 100
+ROUNDS = 100_000  # partial last row blocks: 5 blocks at n = 3, 16 at n = 10, 153 at n = 100
 SEMI_COUNTS = BlockCounts(REFERENCE_COUNTS + (0,) * 20)
 SEMI_GAMMA = SEMI_COUNTS.total / REFERENCE_LAMBDA
 MODELS = {
