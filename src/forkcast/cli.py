@@ -9,9 +9,9 @@ simulated stderr is 0 and the simulated and analytic rates differ.
 Exit codes: 0 success, 2 input/parse problems, 3 numeric/fitting
 failures, 4 internal errors.  Every command is deterministic given its
 flags and input files (plus the seed where an RNG is involved).  Only
-``simulate`` runs on several threads (``--threads``; the default 0
-takes ``FORKCAST_THREADS`` when it is set, else up to 8 by CPU count);
-``pipeline`` evaluates its periods in order on the calling thread.
+``simulate`` runs on several threads (``--threads``, at most the CPU
+count; the default 0 takes ``FORKCAST_THREADS`` when it is set, else up
+to 8); ``pipeline`` evaluates its periods in order on the calling thread.
 """
 
 from __future__ import annotations

@@ -14,10 +14,14 @@ the last block may be partial), and block ``k`` draws from its own SFC64
 stream, spawned from ``SeedSequence(seed)`` with spawn key ``k + 1``; key 0
 draws the experiment-level fixed rates.  A block draws its rates (unless
 they are fixed), then its exponential solve times, and is divided,
-partitioned and counted while it is in cache.  Its partial results are
-reduced in block order, so the outcome depends on ``BLOCK_ELEMENTS`` only,
-never on the thread count.  A worker thread holds one row block at a time,
-and at most two blocks a thread wait to be reduced.
+partitioned and counted while it is in cache.  The rates are drawn row by
+row in population order; a block-count posterior draws one block of
+standard normals, then one block of uniforms, for every count, zero or not
+(a semi-IID mixture first draws one block of int32 member indices).  The
+blocks' partial results are reduced in block order, so the outcome depends
+on ``BLOCK_ELEMENTS`` only, never on the thread count.  A worker thread
+holds one row block at a time, and at most two blocks a thread wait to be
+reduced.
 """
 
 from __future__ import annotations
@@ -42,10 +46,11 @@ BLOCK_ELEMENTS = 1 << 16  # exponentials per row block: 512 KiB, cache-resident
 class SimConfig:
     """Parameters of one simulation experiment.
 
-    ``threads = 0`` picks a worker count automatically.  With
-    ``resample_rates`` (the default) distributional models draw fresh
-    rates every round; turning it off samples one rate vector per
-    experiment and keeps it fixed, mirroring a one-shot market.
+    ``threads = 0`` picks a worker count automatically, and no more
+    threads than ``os.cpu_count()`` run.  With ``resample_rates`` (the
+    default) distributional models draw fresh rates every round; turning
+    it off samples one rate vector per experiment and keeps it fixed,
+    mirroring a one-shot market.
     """
 
     model: HashRateModel
@@ -158,8 +163,9 @@ def simulate_fork_rate(cfg: SimConfig) -> SimOutcome:
         return _run_block(pop, fixed_rates, cfg.delta0, _rng(cfg.seed, k + 1), rounds)
 
     threads = cfg.threads or int(os.environ.get("FORKCAST_THREADS", "0") or 0)
-    if threads == 0:
-        threads = min(8, os.cpu_count() or 1)
+    # outcomes do not depend on the thread count: more threads than CPUs
+    # would only start more OS threads
+    threads = min(threads or 8, os.cpu_count() or 1)
     if threads == 1 or n_blocks == 1:
         partials = map(job, range(n_blocks))
     else:

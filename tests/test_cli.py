@@ -705,6 +705,7 @@ class TestParserBasics:
             return real_pool(max_workers=max_workers)
 
         monkeypatch.setenv("FORKCAST_THREADS", "3")
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 4)  # 3 workers are not capped
         monkeypatch.setattr(simulate, "ThreadPoolExecutor", recording_pool)
         rounds = 2 * (simulate.BLOCK_ELEMENTS // 2) + 1  # three row blocks at two miners
         cfg = simulate.SimConfig(Fixed(MinerSet([0.001, 0.002])), 1.0, rounds, seed=1)

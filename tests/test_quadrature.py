@@ -461,6 +461,49 @@ class TestSamplers:
             sample, law = draws, stats.gamma(0.5, scale=2 / gamma)
         assert stats.kstest(sample, law.cdf).pvalue > 1e-3
 
+    @pytest.mark.parametrize("b", [0.37, 1e6])
+    def test_large_and_fractional_counts_follow_their_law(self, b):
+        gamma = 1e4
+        rng = np.random.Generator(np.random.SFC64(11))
+        draws = PosteriorTransform(b, gamma).sample(rng, self.N)
+        assert stats.kstest(1 / draws, stats.invgauss(1 / b, scale=gamma).cdf).pvalue > 1e-3
+
+    @pytest.mark.filterwarnings("error")
+    def test_exact_zero_normal_and_uniform(self):
+        # rows: nu = 0 and U = 0; U = 0 with nu = 1.5; U next below 1 with
+        # nu = -1.5, which takes the smaller root for a positive count
+        gamma = 1e4
+        b = np.array([0.0, 0.5, 3.0, 6295.0])
+        nu = np.array([[0.0], [1.5], [-1.5]])
+        u = np.array([[0.0], [0.0], [1.0 - 2.0**-53]])
+
+        class Stub:  # hands out the normals, then the uniforms
+            def standard_normal(self, size):
+                return np.broadcast_to(nu, size).copy()
+
+            def random(self, size, out):
+                out[...] = u
+                return out
+
+        with np.errstate(all="raise"):
+            draws = PosteriorTransform(b, gamma).sample_counts(Stub(), b, (3, 4))
+        a = (0.75 + np.sqrt(0.75**2 + b)) ** 2  # |nu|/2 = 0.75
+        assert draws[0].tolist() == pytest.approx(b / gamma, rel=1e-15)
+        assert draws[1].tolist() == pytest.approx(a / gamma, rel=1e-15)
+        assert draws[2, 0] == pytest.approx(1.5**2 / gamma, rel=1e-15)  # b = 0 keeps nu**2
+        assert draws[2, 1:].tolist() == pytest.approx(b[1:] ** 2 / (a[1:] * gamma), rel=1e-15)
+
+    def test_per_column_counts_draw_as_tiled_counts(self):
+        counts = np.array([0.0, 1.0, 2.5, 35.0, 6295.0])
+        tr = PosteriorTransform(counts, 1e4)
+
+        def draws(b, size=None):
+            return tr.sample_counts(np.random.Generator(np.random.SFC64(8)), b, size)
+
+        tiled = draws(np.tile(counts, (1000, 1)))
+        assert np.array_equal(draws(counts, (1000, 5)), tiled)
+        assert np.array_equal(tr.sample(np.random.Generator(np.random.SFC64(8)), (1000, 5)), tiled)
+
     def test_point_mass_draws_its_rate(self):
         draws = PointMassTransform(0.001).sample(np.random.default_rng(6), (4, 2))
         assert np.array_equal(draws, np.full((4, 2), 0.001))

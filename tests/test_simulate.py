@@ -1,6 +1,8 @@
 import math
+import threading
 import tracemalloc
-from dataclasses import dataclass
+from concurrent.futures import Future
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -31,13 +33,47 @@ class TestDeterminism:
         cfg = SimConfig(Fixed(MinerSet([0.001, 0.001])), 100.0, 200_000, seed=9)
         assert simulate_fork_rate(cfg) == simulate_fork_rate(cfg)
 
-    def test_thread_count_invariance(self):
+    def test_thread_count_invariance(self, monkeypatch):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 8)  # 8 threads on any host
         model = IIDNull(Exponential(20000.0), 10)
         outcomes = [
             simulate_fork_rate(SimConfig(model, 1.0, 300_000, seed=4, threads=t))
             for t in (1, 2, 8)
         ]
         assert outcomes[0] == outcomes[1] == outcomes[2]
+
+    @pytest.mark.parametrize("cpus, workers", [(3, [3]), (None, [])])
+    def test_workers_capped_at_cpu_count(self, monkeypatch, cpus, workers):
+        # a million threads asked for: the pool gets os.cpu_count() workers,
+        # and one CPU (or an unknown count) runs the blocks on the caller
+        recorded = []
+
+        class InlinePool:  # records its size and runs each job as it is submitted
+            def __init__(self, max_workers):
+                recorded.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        def no_thread(self):
+            raise AssertionError("a thread was started")
+
+        model = IIDNull(Exponential(20000.0), 10)
+        cfg = SimConfig(model, 1.0, 5 * (BLOCK_ELEMENTS // 10), seed=4)
+        expected = simulate_fork_rate(replace(cfg, threads=1))
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(simulate, "ThreadPoolExecutor", InlinePool)
+        monkeypatch.setattr(threading.Thread, "start", no_thread)
+        assert simulate_fork_rate(replace(cfg, threads=10**6)) == expected
+        assert recorded == workers
 
     def test_different_seeds_differ(self):
         model = Fixed(MinerSet([0.001, 0.001]))
@@ -125,7 +161,8 @@ class TestRowBlocks:
     """Row block k draws its rates, then its exponentials, from its own stream k + 1."""
 
     @pytest.mark.parametrize("n", [2, 35, 100, 350])
-    def test_thread_invariant_across_partial_blocks(self, n):
+    def test_thread_invariant_across_partial_blocks(self, monkeypatch, n):
+        monkeypatch.setattr(simulate.os, "cpu_count", lambda: 3)  # 3 threads on any host
         rows = BLOCK_ELEMENTS // n
         rounds = 4 * rows + rows // 2 + 1  # four row blocks and a partial fifth
         assert rounds % rows
@@ -154,8 +191,8 @@ class TestRowBlocks:
     @pytest.mark.parametrize("iid", [True, False])
     def test_posterior_matches_reference_for_any_block_size(self, monkeypatch, iid):
         # semi-IID draws a member per rate, semi-INID has one column per miner,
-        # in ascending count order; both draw wald for the positive counts,
-        # then gamma for the zero counts
+        # in ascending count order; both then draw one block of normals and
+        # one block of uniforms, for zero and positive counts alike
         members = np.sort(np.asarray(_ZERO_COUNTS.counts, dtype=float))
         n = members.size
         model = (SemiEmpiricalIID if iid else SemiEmpiricalINID)(_ZERO_COUNTS, _GAMMA)
@@ -165,10 +202,11 @@ class TestRowBlocks:
                 b = members[rng.integers(0, n, (rows, n), dtype=np.int32)]
             else:
                 b = np.tile(members, (rows, 1))
-            out, pos = np.empty_like(b), b > 0
-            out[pos] = 1 / rng.wald(_GAMMA / b[pos], _GAMMA)
-            out[~pos] = rng.gamma(0.5, 2 / _GAMMA, np.count_nonzero(~pos))
-            return out
+            h = np.abs(rng.standard_normal((rows, n))) / 2
+            a = (h + np.sqrt(h * h + b)) ** 2
+            u = rng.random((rows, n))
+            smaller = b / (1 - u) - b > a  # U (a + b) > a
+            return np.where(smaller, b / a * b, a) / _GAMMA
 
         for elements in (1, 3 * n + 1, 1 << 16):
             monkeypatch.setattr(simulate, "BLOCK_ELEMENTS", elements)

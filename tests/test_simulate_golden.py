@@ -4,8 +4,9 @@
 rates, i.i.d. null families and an independent population of distinct
 families, with and without per-round rate resampling.  The semi-empirical
 i.i.d. and independent models run on the reference counts plus 20
-zero-count miners, so their posterior draws take both the ``wald`` and the
-zero-count ``gamma`` branch.  These random streams are part of the
+zero-count miners, so their posterior draws cover zero and positive counts
+alike, both through the one normal-then-uniform kernel of
+``PosteriorTransform.sample_counts``.  These random streams are part of the
 reproducibility contract: a refactor of the sampler must reproduce them bit
 for bit.  They hold for the SFC64 streams spawned from the seed, one per
 row block, each drawing its rates and then its exponentials, so they also
