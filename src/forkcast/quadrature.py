@@ -531,7 +531,11 @@ class PosteriorTransform(_Transform):
         with np.errstate(invalid="ignore"):  # 0/0 only at b = nu = 0, where a = 0 is kept
             np.divide(b, a, out=u)
         u *= b
-        np.putmask(a, smaller, u)  # a ufunc's where= runs ~10x slower on a random mask
+        # select without branches, which a random mask mispredicts: each root
+        # times its 0/1 mask, then fmax, which skips the NaN of 0 * (0/0)
+        u *= smaller
+        a *= np.logical_not(smaller, out=smaller)
+        np.fmax(a, u, out=a)
         a /= self.gamma
         return a
 
